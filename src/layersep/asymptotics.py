@@ -210,7 +210,8 @@ def layer_count_ratio(r: float, theta: float, d: int) -> RatioLaw:
 
     The ratio collapses to (2 sqrt(1-r^2))^(d/2) identically -- an equality,
     not an asymptotic -- which this function recomputes independently and
-    asserts against the value assembled from the two thresholds.
+    checks against the value assembled from the two thresholds, raising
+    ArithmeticError if they drift apart.
     """
     r, theta, d = _validated_radius(r), _validated_theta(theta), _validated_d(d)
     regime = classify_radius(r, "count_ratio")
@@ -223,7 +224,8 @@ def layer_count_ratio(r: float, theta: float, d: int) -> RatioLaw:
     drift = log_exact - log_identity
     rel = abs(math.expm1(drift)) if abs(drift) < 1.0 else math.inf
     noise = 32.0 * math.ulp(max(abs(log_exact), abs(math.log(theta)), 1.0))
-    assert rel <= 1e-12 + noise, (r, theta, d, rel)
+    if not rel <= 1e-12 + noise:
+        raise ArithmeticError((r, theta, d, rel))
     if regime.regime == ABOVE:
         limit_value, limit_tag = 0.0, "vanishes"
     elif regime.regime == AT:

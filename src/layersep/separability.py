@@ -14,13 +14,15 @@ Two notions of separability for a point X against a finite set M:
   coefficients; so one solve produces the witness for either verdict.
 
 Set-level checks ask whether every point is separable from the others
-(1-convexity).  The linear set check pre-screens each point with the Fisher
-test and only runs the LP on points that fail it.
+(1-convexity).  Both set checks get every point's Fisher margin from one
+blockwise Gram kernel, ``fisher_margins``; the linear set check runs the LP
+only on points that fail the Fisher test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "DEFAULT_TOL",
     "SeparabilityCertificate",
     "SetReport",
+    "fisher_margins",
     "fisher_separable_point",
     "fisher_separable_set",
     "linearly_separable_point",
@@ -79,20 +82,32 @@ class SeparabilityCertificate:
 
 @dataclass(frozen=True)
 class SetReport:
-    """Aggregate of per-point certificates for a 1-convexity check.
+    """Outcome of a 1-convexity check; per-point certificates are built on demand.
 
-    ``per_point`` is indexed by point order; in verdict-only mode it is
-    truncated at the first failure (the all_separable/first_failure fields
-    are still authoritative).  ``lp_calls`` counts simplex runs and
-    ``lp_skipped_by_fisher`` counts points the Fisher pre-screen settled;
-    their sum is the number of point-level linear checks performed.
+    ``margins`` holds the Fisher margin of each inspected point in order (the
+    point passed the Fisher test iff its margin is > 0) and ``lp_certificates``
+    the certificate of each point the LP decided, by index.  In verdict-only
+    mode the inspected points, and so ``per_point``, stop at the first failure.
+    ``lp_calls`` counts simplex runs and ``lp_skipped_by_fisher`` the points
+    the Fisher pre-screen settled; their sum is the number of linear checks.
     """
 
-    per_point: tuple[SeparabilityCertificate, ...]
     all_separable: bool
     first_failure: int | None
+    margins: np.ndarray = field(repr=False, compare=False)
+    points: np.ndarray = field(repr=False, compare=False)
+    lp_certificates: dict = field(default_factory=dict, repr=False, compare=False)
     lp_calls: int = 0
     lp_skipped_by_fisher: int = 0
+
+    @cached_property
+    def per_point(self) -> tuple[SeparabilityCertificate, ...]:
+        return tuple(
+            self.lp_certificates[i]
+            if i in self.lp_certificates
+            else _fisher_certificate(self.points[i], margin)
+            for i, margin in enumerate(self.margins.tolist())
+        )
 
 
 def _others(points: np.ndarray, i: int) -> np.ndarray:
@@ -108,20 +123,67 @@ def _check_index(i, n):
 # ---------------------------------------------------------------------------
 # Fisher checks
 
+FISHER_BLOCK = 256  # Gram rows per block, and the granularity of the early exit
+
+
+def _fisher_certificate(x: np.ndarray, margin: float) -> SeparabilityCertificate:
+    # margin > 0 is the strict test: two floats differ by zero only when equal
+    if margin > 0.0:
+        return SeparabilityCertificate("separable", "fisher", margin, hyperplane=x.copy())
+    return SeparabilityCertificate("not_separable", "fisher", margin)
+
+
+def _point_margin(x: np.ndarray, others: np.ndarray) -> float:
+    """(x,x) - max_y (x,y).  Unlike BLAS, einsum reduces each row on its own,
+    so a row's inner product does not depend on the row's position: permuting
+    ``others`` or deleting a row leaves every product bit-identical."""
+    self_dot = np.einsum("ij,j->i", x[None, :], x)[0]
+    return float(self_dot - np.einsum("ij,j->i", others, x).max())
+
+
+def fisher_margins(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarray:
+    """margin_i = (X_i,X_i) - max_{j != i} (X_i,X_j) for every row, blockwise Gram.
+
+    Row i is Fisher-separable from the other rows iff margin_i > 0.  A Gram
+    margin within the rounding-error bound of 0 is recomputed with the product
+    of ``fisher_point_vs_set``, so the sign always equals that function's
+    verdict.  ``stop_at_failure`` ends the scan after the first block holding a
+    margin <= 0, and the result then covers only the rows scanned.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    n, d = points.shape
+    self_dots = np.einsum("ij,ij->i", points, points)
+    # any summation order gives |fl(x.y) - (x,y)| <= d u sum|x_k y_k| <= d^2 u
+    # max|x| max|y|: the band covers two such errors and underflow
+    peaks = np.abs(points).max(axis=1)
+    tie_band = 4.0 * d * d * 2.0**-53 * peaks * (peaks + peaks.max(initial=0.0))
+    tie_band += d * 2.0**-1072
+    columns = np.ascontiguousarray(points.T)  # a faster GEMM operand than the view
+    # the Gram matrix is symmetric: a block's rows meet only the columns from its
+    # start on, and col_max carries the earlier blocks' part of each row maximum
+    col_max = np.full(n, -np.inf)
+    margins = np.empty(n)
+    for start in range(0, n, FISHER_BLOCK):
+        stop = min(start + FISHER_BLOCK, n)
+        gram = points[start:stop] @ columns[:, start:]
+        np.fill_diagonal(gram, -np.inf)
+        np.maximum(col_max[start:], gram.max(axis=0), out=col_max[start:])
+        block = margins[start:stop]
+        row_max = np.maximum(gram.max(axis=1), col_max[start:stop])
+        np.subtract(self_dots[start:stop], row_max, out=block)
+        for i in np.flatnonzero(np.abs(block) <= tie_band[start:stop]):
+            block[i] = _point_margin(points[start + i], _others(points, start + i))
+        if stop_at_failure and not np.all(block > 0.0):
+            return margins[:stop]
+    return margins
+
 
 def fisher_point_vs_set(x: np.ndarray, others: np.ndarray) -> SeparabilityCertificate:
     """Fisher-separate an arbitrary point from an arbitrary finite set."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if len(others) == 0:
-        return SeparabilityCertificate(
-            "separable", "fisher", float("inf"), hyperplane=x.copy()
-        )
-    dots = np.asarray(others, dtype=np.float64) @ x
-    self_dot = float(x @ x)
-    margin = self_dot - float(dots.max())
-    if bool(np.all(dots < self_dot)):  # strict, exact floating comparison
-        return SeparabilityCertificate("separable", "fisher", margin, hyperplane=x.copy())
-    return SeparabilityCertificate("not_separable", "fisher", margin)
+        return _fisher_certificate(x, float("inf"))
+    return _fisher_certificate(x, _point_margin(x, np.ascontiguousarray(others, dtype=np.float64)))
 
 
 def fisher_separable_point(i: int, cloud: PointCloud) -> SeparabilityCertificate:
@@ -130,73 +192,18 @@ def fisher_separable_point(i: int, cloud: PointCloud) -> SeparabilityCertificate
     return fisher_point_vs_set(cloud.points[i], _others(cloud.points, i))
 
 
-def _fisher_margins(points: np.ndarray, block: int = 256) -> np.ndarray:
-    """margin_i = (X_i,X_i) - max_{j != i} (X_i,X_j) for all i, blockwise Gram."""
-    n = points.shape[0]
-    self_dots = np.einsum("ij,ij->i", points, points)
-    margins = np.empty(n)
-    if n == 1:
-        margins[0] = float("inf")
-        return margins
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        gram = points[start:stop] @ points.T
-        gram[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        margins[start:stop] = self_dots[start:stop] - gram.max(axis=1)
-    return margins
-
-
-def _fisher_strict_flags(points: np.ndarray, margins: np.ndarray) -> np.ndarray:
-    # margin > 0 is equivalent to the strict elementwise comparison except
-    # when the subtraction rounds a genuinely positive gap to zero, which
-    # cannot happen at these magnitudes; assert the cheap version.
-    return margins > 0.0
-
-
 def fisher_separable_set(cloud: PointCloud, verdict_only: bool = False) -> SetReport:
     """Fisher 1-convexity: every point Fisher-separable from the others.
 
     ``verdict_only`` permits early exit at the first failure; per_point is
     then truncated.
     """
-    pts = cloud.points
-    certs: list[SeparabilityCertificate] = []
-    first_failure = None
-    if verdict_only:
-        # row-at-a-time scan so a failure at index 0 costs O(nd), not O(n^2 d)
-        self_dots = np.einsum("ij,ij->i", pts, pts)
-        for i in range(cloud.n):
-            dots = pts @ pts[i]
-            dots[i] = -np.inf
-            margin = float(self_dots[i] - dots.max())
-            ok = bool(np.all(dots < self_dots[i]))
-            certs.append(
-                SeparabilityCertificate(
-                    "separable" if ok else "not_separable",
-                    "fisher",
-                    margin,
-                    hyperplane=pts[i].copy() if ok else None,
-                )
-            )
-            if not ok:
-                first_failure = i
-                break
-    else:
-        margins = _fisher_margins(pts)
-        flags = _fisher_strict_flags(pts, margins)
-        for i in range(cloud.n):
-            ok = bool(flags[i])
-            certs.append(
-                SeparabilityCertificate(
-                    "separable" if ok else "not_separable",
-                    "fisher",
-                    float(margins[i]),
-                    hyperplane=pts[i].copy() if ok else None,
-                )
-            )
-            if not ok and first_failure is None:
-                first_failure = i
-    return SetReport(tuple(certs), first_failure is None, first_failure)
+    margins = fisher_margins(cloud.points, stop_at_failure=verdict_only)
+    failures = np.flatnonzero(margins <= 0.0)
+    first_failure = int(failures[0]) if failures.size else None
+    if verdict_only and first_failure is not None:
+        margins = margins[: first_failure + 1]
+    return SetReport(first_failure is None, first_failure, margins, cloud.points)
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +281,20 @@ def linearly_separable_set(
     not-separable point.
     """
     pts = cloud.points
-    margins = _fisher_margins(pts)
-    flags = _fisher_strict_flags(pts, margins)
-    certs: list[SeparabilityCertificate] = []
+    margins = fisher_margins(pts)
+    lp_certificates: dict[int, SeparabilityCertificate] = {}
     first_failure = None
-    lp_calls = 0
-    skipped = 0
-    for i in range(cloud.n):
-        if flags[i]:
-            skipped += 1
-            certs.append(
-                SeparabilityCertificate(
-                    "separable", "fisher", float(margins[i]), hyperplane=pts[i].copy()
-                )
-            )
-            continue
-        lp_calls += 1
+    for i in np.flatnonzero(margins <= 0.0).tolist():
         cert = lp_point_vs_set(pts[i], _others(pts, i), tol)
-        certs.append(cert)
-        if not cert.separable:
-            if first_failure is None:
-                first_failure = i
+        lp_certificates[i] = cert
+        if not cert.separable and first_failure is None:
+            first_failure = i
             if verdict_only:
+                margins = margins[: i + 1]
                 break
-    return SetReport(tuple(certs), first_failure is None, first_failure, lp_calls, skipped)
+    skipped = int(np.count_nonzero(margins > 0.0))
+    return SetReport(first_failure is None, first_failure, margins, pts, lp_certificates,
+                     len(lp_certificates), skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Regime classification, asymptotic laws, and their convergence to the exact forms."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp
 from oracles import mp_eq1_admissible, mp_fisher_gap, mp_linear_gap, mp_n_fisher
 
+from layersep import asymptotics
 from layersep.asymptotics import (
     CRITICAL_RADII,
     KNIFE_EDGE_TOL,
@@ -168,6 +170,19 @@ def test_layer_count_ratio_identity_grid():
             for d in (1, 7, 100, 400):
                 res = layer_count_ratio(r, theta, d)
                 assert rel_err(res.exact, res.approximant) <= 1e-12, (r, theta, d)
+
+
+def test_layer_count_ratio_raises_when_identity_breaks(monkeypatch):
+    # a Fisher threshold off by 1e-9 in log space breaks the identity; the
+    # check must raise whatever the interpreter's optimisation level
+    real = asymptotics._n_fisher
+
+    def drifted(query):
+        return SimpleNamespace(log_raw=real(query).log_raw + 1e-9)
+
+    monkeypatch.setattr(asymptotics, "_n_fisher", drifted)
+    with pytest.raises(ArithmeticError, match=r"\(0\.5, 0\.2, 4, "):
+        layer_count_ratio(0.5, 0.2, 4)
 
 
 # ---------------------------------------------------------------------------

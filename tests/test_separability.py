@@ -7,6 +7,9 @@ from layersep.errors import DomainError, EnumerationLimitError
 from layersep.exact import exact_oracle_point, exact_point_vs_set
 from layersep.geometry import LayerSpec, PointCloud, sample_layer
 from layersep.separability import (
+    FISHER_BLOCK,
+    SeparabilityCertificate,
+    fisher_margins,
     fisher_point_vs_set,
     fisher_separable_point,
     fisher_separable_set,
@@ -108,6 +111,167 @@ def test_fisher_set_matches_per_point_calls():
         assert solo.verdict == cert.verdict
         assert solo.margin == pytest.approx(cert.margin, rel=1e-12, abs=1e-15)
     assert report.all_separable == all(c.separable for c in report.per_point)
+
+
+# ---------------------------------------------------------------------------
+# the Fisher kernel shared by the point check and both set checks
+
+
+def test_fisher_point_margin_bit_identical_under_row_permutation():
+    rng = np.random.default_rng(2020)
+    for trial in range(3000):
+        d = int(rng.integers(1, 60))
+        k = int(rng.integers(1, 40))
+        layer = LayerSpec(d=d, r=(0.0, 0.5, 0.9)[trial % 3])
+        cloud = sample_layer(layer, k + 1, seed=int(rng.integers(2**62)))
+        x, others = cloud.points[-1], cloud.points[:-1]
+        shuffled = others[rng.permutation(k)]
+        base, permuted = fisher_point_vs_set(x, others), fisher_point_vs_set(x, shuffled)
+        assert base.verdict == permuted.verdict
+        assert base.margin == permuted.margin, (trial, d, k)
+
+
+def test_fisher_margins_match_brute_force_across_blocks():
+    for n in (1, 2, 3, FISHER_BLOCK - 1, FISHER_BLOCK, FISHER_BLOCK + 1, 2 * FISHER_BLOCK + 7):
+        cloud = sample_layer(LayerSpec(d=7, r=0.2), n, seed=n)
+        pts = cloud.points
+        gram = pts @ pts.T
+        np.fill_diagonal(gram, -np.inf)
+        want = np.diag(pts @ pts.T) - gram.max(axis=1) if n > 1 else np.full(1, np.inf)
+        got = fisher_margins(pts)
+        assert got.shape == (n,)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        verdicts = [fisher_separable_point(i, cloud).separable for i in range(n)]
+        assert (got > 0.0).tolist() == verdicts
+
+
+def dyadic_cloud(rng, d, n):
+    # coordinates on a grid of 1/16ths (norms stay below 1 for d <= 16):
+    # every inner product is exact, and many pairs tie exactly, (X, Y) == (X, X)
+    return cloud_from(rng.integers(-4, 5, size=(n, d)) / 16.0)
+
+
+def near_tie_cloud(rng, d, n):
+    # every point Y_j = X + e_j with e_j orthogonal to X up to rounding:
+    # (X, Y_j) and (X, X) agree to a few ulps, so the sign of each margin is
+    # decided by rounding, the case where GEMM and row products can disagree
+    x = rng.standard_normal(d)
+    x *= 0.5 / np.linalg.norm(x)
+    e = rng.standard_normal((n - 1, d))
+    e -= np.outer(e @ x / (x @ x), x)
+    e *= 1e-9 / np.linalg.norm(e, axis=1, keepdims=True)
+    return cloud_from(np.vstack([x, x + e])[rng.permutation(n)])
+
+
+@pytest.mark.parametrize("make", [dyadic_cloud, near_tie_cloud])
+def test_fisher_set_flags_equal_point_verdicts_on_ties(make):
+    rng = np.random.default_rng(7)
+    ties = 0
+    for _ in range(200):
+        cloud = make(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25)))
+        solo = [fisher_separable_point(i, cloud) for i in range(cloud.n)]
+        ties += sum(c.margin == 0.0 for c in solo)
+        report = fisher_separable_set(cloud)
+        assert [c.verdict for c in report.per_point] == [c.verdict for c in solo]
+        assert [c.verdict for c in linearly_separable_set(cloud).per_point if c.method == "fisher"] == [
+            "separable" for c in solo if c.separable
+        ]
+        failures = [i for i, c in enumerate(solo) if not c.separable]
+        quick = fisher_separable_set(cloud, verdict_only=True)
+        assert quick.first_failure == report.first_failure == (failures[0] if failures else None)
+    assert ties > 0
+
+
+def test_fisher_set_early_exit_returns_first_failure():
+    cloud = sample_layer(LayerSpec(d=40, r=0.5), 3 * FISHER_BLOCK, seed=11)
+    assert fisher_separable_set(cloud, verdict_only=True).all_separable
+    for first in (0, FISHER_BLOCK - 1, FISHER_BLOCK, 2 * FISHER_BLOCK + 5, 3 * FISHER_BLOCK - 1):
+        pts = cloud.points.copy()
+        # a shadowed point X next to 2X has (X, 2X) = 2 (X, X) > (X, X)
+        for i in (first, first + 3):
+            if i < len(pts):
+                pts[i] = 0.5 * pts[i - 1]
+        shadowed = cloud_from(pts)
+        quick = fisher_separable_set(shadowed, verdict_only=True)
+        full = fisher_separable_set(shadowed)
+        assert quick.first_failure == full.first_failure == first
+        assert not quick.all_separable
+        assert len(quick.per_point) == first + 1
+        assert quick.per_point[-1].verdict == "not_separable"
+        assert len(full.per_point) == len(pts)
+
+
+def eager_fisher_set(cloud, verdict_only):
+    """Per-point certificates built eagerly, point by point, as the set check
+    did before its certificates were built on demand."""
+    margins = fisher_margins(cloud.points)
+    certs = []
+    for i, margin in enumerate(margins):
+        ok = bool(margin > 0.0)
+        certs.append(
+            SeparabilityCertificate(
+                "separable" if ok else "not_separable",
+                "fisher",
+                float(margin),
+                hyperplane=cloud.points[i].copy() if ok else None,
+            )
+        )
+        if verdict_only and not ok:
+            break
+    return certs
+
+
+def eager_linear_set(cloud, verdict_only):
+    margins = fisher_margins(cloud.points)
+    certs = []
+    for i, margin in enumerate(margins):
+        if margin > 0.0:
+            certs.append(
+                SeparabilityCertificate(
+                    "separable", "fisher", float(margin), hyperplane=cloud.points[i].copy()
+                )
+            )
+            continue
+        cert = linearly_separable_point(i, cloud)
+        certs.append(cert)
+        if verdict_only and not cert.separable:
+            break
+    return certs
+
+
+def assert_same_certificates(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.verdict, a.method) == (b.verdict, b.method)
+        assert a.margin == b.margin or (math.isnan(a.margin) and math.isnan(b.margin))
+        for field in ("hyperplane", "coefficients"):
+            u, v = getattr(a, field), getattr(b, field)
+            assert (u is None) == (v is None)
+            if u is not None:
+                assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("verdict_only", [False, True])
+def test_lazy_per_point_matches_eager_certificates(verdict_only):
+    clouds = [
+        cloud_from([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+        cloud_from([[0.5, 0.0], [1.0, 0.0]]),
+        cloud_from([[0.1, 0.0]]),
+        sample_layer(LayerSpec(d=2, r=0.0), 30, seed=5),
+        sample_layer(LayerSpec(d=3, r=0.9), 40, seed=6),
+        sample_layer(LayerSpec(d=25, r=0.0), 60, seed=9),
+    ]
+    for cloud in clouds:
+        fisher = fisher_separable_set(cloud, verdict_only=verdict_only)
+        assert_same_certificates(fisher.per_point, eager_fisher_set(cloud, verdict_only))
+        linear = linearly_separable_set(cloud, verdict_only=verdict_only)
+        want = eager_linear_set(cloud, verdict_only)
+        assert_same_certificates(linear.per_point, want)
+        assert linear.lp_calls == sum(c.method == "lp" for c in want)
+        assert linear.lp_skipped_by_fisher == sum(c.method == "fisher" for c in want)
+        failures = [i for i, c in enumerate(want) if not c.separable]
+        assert linear.first_failure == (failures[0] if failures else None)
+        assert linear.per_point is linear.per_point  # built once
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,20 @@
+"""Rules the package source must keep, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "layersep"
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so a check written as one
+    # silently disappears; checks must raise instead
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in the package: {found}"
