@@ -10,7 +10,8 @@ class DomainError(ValueError):
 
 
 class LPStallError(RuntimeError):
-    """The simplex solver hit its pivot cap or stalled numerically.
+    """The simplex solver hit its pivot cap or stalled numerically, or its
+    optimum failed the check that turns it into a verdict.
 
     This is a diagnostic, never a verdict: callers must not coerce it into
     separable/not-separable.

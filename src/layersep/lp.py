@@ -1,9 +1,24 @@
-"""Dense two-phase primal simplex for small standard-form linear programs.
+"""Revised primal simplex for small standard-form linear programs.
 
-Solves ``min c @ x  s.t.  A @ x = b, x >= 0`` on a dense numpy tableau.
-Built for the hull-membership programs in :mod:`layersep.separability`:
-few rows (dimension + 1), possibly many columns (cloud size), well-scaled
-coefficients.  Bland's rule everywhere, so no cycling; a pivot cap turns
+Solves ``min c @ x  s.t.  A @ x = b, x >= 0``.  Built for the hull-membership
+programs in :mod:`layersep.separability`: few rows (dimension + 1), possibly
+many columns (cloud size), well-scaled coefficients.
+
+The solver keeps an explicit inverse of the (m x m) basis matrix, updates it
+by one rank-1 eta step per pivot and refactors it from ``A[:, basis]`` every
+``REFACTOR_EVERY`` pivots and before it declares a basis optimal.  Pricing is
+one matvec per pivot.  The entering column has the most negative reduced cost
+(Dantzig).  A pivot makes progress when it lowers the best objective of the
+run by more than the tolerance; after more than m pivots in a row without
+progress (degenerate ones, and ones that rounding leaves flat) pricing takes
+Bland's lowest index until progress resumes.  The best objective can fall
+only finitely often, so a cycle would have to run under Bland's rule, which
+cannot cycle.  The leaving row is always the lowest basis index among
+ratio-test ties.
+
+A caller that knows a feasible basis passes it and the solver starts there.
+Without one, phase 1 runs in the same loop over one appended artificial column
+per row, then phase 2 continues from the basis it found.  A pivot cap turns
 numerical pathology into a loud :class:`LPStallError` instead of a wrong
 answer.
 """
@@ -14,12 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LPStallError
+from .errors import DomainError, LPStallError
 
 # reduced costs / pivot elements below this count as zero
 PIVOT_TOL = 1e-11
-# phase-1 objective below this counts as feasible
+# phase-1 objective, and a negative start-basis value, below this count as feasible
 FEASIBILITY_TOL = 1e-9
+# eta updates between two refactorizations of the basis inverse
+REFACTOR_EVERY = 32
 
 __all__ = ["SimplexResult", "solve_standard_form", "PIVOT_TOL", "FEASIBILITY_TOL"]
 
@@ -33,7 +50,7 @@ class SimplexResult:
         x: primal solution over the structural variables (zeros if infeasible).
         duals: one multiplier per original row, original row orientation.
         objective: c @ x at the returned point.
-        pivots: total pivot count across both phases.
+        pivots: total pivot count, phase 1 included when it ran.
     """
 
     status: str
@@ -43,20 +60,24 @@ class SimplexResult:
     pivots: int
 
 
-def solve_standard_form(c, A, b, max_pivots: int) -> SimplexResult:
-    """Two-phase dense simplex with Bland's rule.
+def solve_standard_form(c, A, b, max_pivots: int, basis=None) -> SimplexResult:
+    """Revised simplex from a given feasible basis, or from phase 1.
 
     Args:
         c: costs, shape (n,).
         A: equality-constraint matrix, shape (m, n).
         b: right-hand side, shape (m,); any sign (rows are flipped internally).
         max_pivots: hard cap on total pivots; exceeding it raises LPStallError.
+        basis: optional m distinct column indices whose matrix ``A[:, basis]``
+            is nonsingular with ``A[:, basis]^-1 b >= -FEASIBILITY_TOL``; the
+            solve then starts there and runs no phase 1.
 
     Returns:
         SimplexResult; ``status='infeasible'`` when phase 1 cannot zero the
         artificial variables.
 
     Raises:
+        DomainError: ``basis`` is malformed, singular or infeasible.
         LPStallError: pivot cap exceeded, or an unbounded ray shows up (which
             for a correctly posed bounded program means numerical failure).
     """
@@ -68,79 +89,131 @@ def solve_standard_form(c, A, b, max_pivots: int) -> SimplexResult:
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    # tableau: structural columns, artificial identity, rhs
-    T = np.empty((m, n + m + 1))
-    T[:, :n] = A
-    T[:, n : n + m] = np.eye(m)
-    T[:, -1] = b
-    basis = np.arange(n, n + m)
-    pivots = 0
+    if basis is None:
+        simplex = _Simplex(np.hstack([A, np.eye(m)]), b, np.arange(n, n + m), max_pivots)
+        phase1_costs = np.concatenate([np.zeros(n), np.ones(m)])
+        duals = simplex.run(phase1_costs, n)
+        if float(phase1_costs[simplex.basis] @ simplex.xb) > FEASIBILITY_TOL:
+            duals[flip] *= -1.0
+            return SimplexResult("infeasible", np.zeros(n), duals, float("inf"), simplex.pivots)
+        simplex.drive_out_artificials(n)
+        costs = np.concatenate([c, np.zeros(m)])
+    else:
+        simplex = _start(A, b, basis, max_pivots)
+        costs = c
 
-    def reduced_costs(costs):
-        cb = costs[basis]
-        return costs - cb @ T[:, :-1], float(cb @ T[:, -1])
+    duals = simplex.run(costs, n)
+    x = np.zeros(n)
+    keep = simplex.basis < n
+    x[simplex.basis[keep]] = simplex.xb[keep]
+    np.maximum(x, 0.0, out=x)  # basic values can round to -1e-17
+    duals[flip] *= -1.0
+    return SimplexResult("optimal", x, duals, float(c @ x), simplex.pivots)
 
-    def run_phase(costs, entering_limit):
-        # entering_limit: columns >= limit never enter (bars artificials in
-        # phase 2, and re-entry of departed artificials in phase 1)
-        nonlocal pivots
+
+def _start(A, b, basis, max_pivots) -> _Simplex:
+    """The solve at a caller's start basis, checked as outside input."""
+    m, n = A.shape
+    idx = np.asarray(basis)
+    if idx.shape != (m,) or not np.issubdtype(idx.dtype, np.integer):
+        raise DomainError(f"basis must hold {m} integer column indices, got {basis!r}")
+    if idx.min(initial=0) < 0 or idx.max(initial=0) >= n:
+        raise DomainError(f"basis indices must lie in [0, {n}), got {basis!r}")
+    if np.unique(idx).size != m:
+        raise DomainError(f"basis indices must be distinct, got {basis!r}")
+    try:
+        simplex = _Simplex(A, b, idx, max_pivots)
+    except np.linalg.LinAlgError:
+        raise DomainError("basis matrix A[:, basis] is singular") from None
+    condition = np.linalg.norm(A[:, idx], 1) * np.linalg.norm(simplex.binv, 1)
+    if not condition < 1.0 / np.finfo(np.float64).eps:  # also rejects inf and NaN
+        raise DomainError("basis matrix A[:, basis] is singular")
+    if np.any(simplex.xb < -FEASIBILITY_TOL):
+        raise DomainError("basis is not feasible: A[:, basis]^-1 b has a negative entry")
+    return simplex
+
+
+class _Simplex:
+    """Basis, basis inverse and basic values of one revised-simplex solve."""
+
+    def __init__(self, A, b, basis, max_pivots):
+        self.A = A
+        self.b = b
+        self.basis = np.array(basis, dtype=np.intp)
+        self.max_pivots = max_pivots
+        self.pivots = 0
+        self.refactor()
+
+    def refactor(self) -> None:
+        self.binv = np.linalg.inv(self.A[:, self.basis])
+        self.xb = self.binv @ self.b
+        self.etas = 0
+
+    def pivot(self, r: int, q: int, column: np.ndarray) -> None:
+        """Column q enters at row r; ``column`` is ``binv @ A[:, q]``."""
+        theta = max(self.xb[r], 0.0) / column[r]
+        self.xb -= theta * column
+        self.xb[r] = theta
+        self.binv[r] /= column[r]
+        eta = column.copy()
+        eta[r] = 0.0
+        self.binv -= np.outer(eta, self.binv[r])
+        self.basis[r] = q
+        self.pivots += 1
+        self.etas += 1
+        if self.etas >= REFACTOR_EVERY:
+            self.refactor()
+
+    def run(self, costs: np.ndarray, limit: int) -> np.ndarray:
+        """Pivot until no column below ``limit`` prices out; return the duals.
+        Pricing is Dantzig's, or Bland's after more than m pivots in a row
+        without progress (see the module docstring)."""
+        m = len(self.basis)
+        priced_costs = costs[:limit]
+        priced = self.A[:, :limit]
+        best = float(costs[self.basis] @ self.xb)
+        stalled = 0
         while True:
-            z, _ = reduced_costs(costs)
-            candidates = np.flatnonzero(z[:entering_limit] < -PIVOT_TOL)
-            if candidates.size == 0:
-                return
-            j = int(candidates[0])  # Bland: lowest index
-            col = T[:, j]
-            rows = np.flatnonzero(col > PIVOT_TOL)
+            duals = costs[self.basis] @ self.binv
+            reduced = priced_costs - duals @ priced
+            if stalled > m:
+                candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+                q = int(candidates[0]) if candidates.size else -1
+            else:
+                q = int(np.argmin(reduced))
+                if reduced[q] >= -PIVOT_TOL:
+                    q = -1
+            if q < 0:
+                if self.etas == 0:
+                    return duals
+                self.refactor()  # confirm optimality on a fresh inverse
+                continue
+            column = self.binv @ self.A[:, q]
+            rows = np.flatnonzero(column > PIVOT_TOL)
             if rows.size == 0:
                 raise LPStallError("unbounded direction in a bounded program")
-            ratios = T[rows, -1] / col[rows]
-            best = ratios.min()
-            near = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-            r = int(near[np.argmin(basis[near])])  # Bland: lowest basis index
-            _pivot(T, basis, r, j)
-            pivots += 1
-            if pivots > max_pivots:
+            ratios = np.maximum(self.xb[rows], 0.0) / column[rows]
+            theta = ratios.min()
+            near = rows[ratios <= theta + 1e-12 * (1.0 + theta)]
+            r = int(near[np.argmin(self.basis[near])])  # Bland: lowest basis index
+            self.pivot(r, q, column)
+            if self.pivots > self.max_pivots:
                 raise LPStallError(
-                    f"simplex exceeded its pivot cap ({max_pivots}); "
+                    f"simplex exceeded its pivot cap ({self.max_pivots}); "
                     "treating as a diagnostic, not a verdict"
                 )
+            objective = float(costs[self.basis] @ self.xb)
+            if objective < best - PIVOT_TOL * (1.0 + abs(best)):
+                best, stalled = objective, 0
+            else:
+                stalled += 1
 
-    # ---- phase 1: drive artificials to zero
-    phase1_costs = np.concatenate([np.zeros(n), np.ones(m)])
-    run_phase(phase1_costs, entering_limit=n)
-    z1, infeas = reduced_costs(phase1_costs)
-    if infeas > FEASIBILITY_TOL:
-        duals = 1.0 - z1[n : n + m]
-        duals[flip] *= -1.0
-        return SimplexResult("infeasible", np.zeros(n), duals, float("inf"), pivots)
-
-    # pivot out any artificial stuck in the basis at level ~0; rows whose
-    # structural part is all zeros are redundant and stay pinned harmlessly
-    for r in np.flatnonzero(basis >= n):
-        structural = np.flatnonzero(np.abs(T[r, :n]) > PIVOT_TOL)
-        if structural.size:
-            _pivot(T, basis, int(r), int(structural[0]))
-            pivots += 1
-
-    # ---- phase 2: original objective, artificials barred from entering
-    phase2_costs = np.concatenate([c, np.zeros(m)])
-    run_phase(phase2_costs, entering_limit=n)
-    z2, _ = reduced_costs(phase2_costs)
-    x = np.zeros(n)
-    keep = basis < n
-    x[basis[keep]] = T[keep, -1]
-    np.maximum(x, 0.0, out=x)  # basic values can round to -1e-17
-    duals = -z2[n : n + m]
-    duals[flip] *= -1.0
-    return SimplexResult("optimal", x, duals, float(c @ x), pivots)
-
-
-def _pivot(T, basis, r, j):
-    T[r] /= T[r, j]
-    col = T[:, j].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    T[:, j] = 0.0
-    T[r, j] = 1.0
-    basis[r] = j
+    def drive_out_artificials(self, n: int) -> None:
+        """Pivot each artificial left basic at level ~0 out for a structural
+        column; rows whose structural part is all zeros are redundant and keep
+        their artificial pinned harmlessly."""
+        for r in np.flatnonzero(self.basis >= n).tolist():
+            structural = np.flatnonzero(np.abs(self.binv[r] @ self.A[:, :n]) > PIVOT_TOL)
+            if structural.size:
+                q = int(structural[0])
+                self.pivot(r, q, self.binv @ self.A[:, q])

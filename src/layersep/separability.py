@@ -7,11 +7,12 @@ Two notions of separability for a point X against a finite set M:
 * Linear: ``X not in conv(M)``.  Decided by the bounded-normal margin program
   ``max m  s.t. (A, X - Y) >= m for all Y,  |A|_inf <= 1``; the point is
   separable iff the optimal margin exceeds ``tol``.  The implementation runs
-  the two-phase simplex on the exact dual of that program — minimize
+  the revised simplex on the exact dual of that program — minimize
   ``|X - sum(lambda_j Y_j)|_1`` over the probability simplex — which has the
-  same optimal value and a (dimension + 2)-row tableau however large M is.
-  The dual values give the optimal normal A, the basis gives the convex
-  coefficients; so one solve produces the witness for either verdict.
+  same optimal value and (dimension + 1) rows however large M is.  The solve
+  starts from a crash basis that is feasible by construction, so it runs no
+  phase 1.  The dual values give the optimal normal A, the basis gives the
+  convex coefficients; so one solve produces the witness for either verdict.
 
 Set-level checks ask whether every point is separable from the others
 (1-convexity).  Both set checks get every point's Fisher margin from one
@@ -216,7 +217,8 @@ def lp_point_vs_set(
     """Linear-separate an arbitrary point from an arbitrary finite set.
 
     Runs the L1 polytope-distance program described in the module docstring.
-    Raises LPStallError if the simplex stalls (diagnostic, not a verdict).
+    Raises LPStallError if the simplex stalls, or if the normal it yields does
+    not strictly separate (diagnostic, not a verdict).
     """
     x = np.asarray(x, dtype=np.float64)
     others = np.asarray(others, dtype=np.float64)
@@ -233,19 +235,26 @@ def lp_point_vs_set(
     scale = max(float(np.abs(others).max(initial=0.0)), float(np.abs(x).max(initial=0.0)))
     tol_eff = tol * scale if scale > 0.0 else tol
 
-    # min sum(u) + sum(v)  s.t.  others.T @ lam + u - v = x,  sum(lam) = 1
+    # min sum(u) + sum(v)  s.t.  (others - x).T @ lam + u - v = 0,  sum(lam) = 1:
+    # x - others.T @ lam written with sum(lam) = 1, so that points within ~1e-9
+    # of x enter as differences at full relative precision and their nearly
+    # parallel columns do not swamp the simplex in rounding error
     n_var = k + 2 * d
     A = np.zeros((d + 1, n_var))
-    A[:d, :k] = others.T
+    A[:d, :k] = (others - x).T
     A[:d, k : k + d] = np.eye(d)
     A[:d, k + d :] = -np.eye(d)
     A[d, :k] = 1.0
-    b = np.concatenate([x, [1.0]])
+    b = np.zeros(d + 1)
+    b[d] = 1.0
     c = np.concatenate([np.zeros(k), np.ones(2 * d)])
-    result = solve_standard_form(c, A, b, max_pivots=_pivot_cap(k, d))
-    if result.status != "optimal":
-        # the program is feasible by construction; anything else is numeric
-        raise LPStallError("phase 1 failed on a feasible hull program")
+    # crash basis: lam_j = 1 for the point with the largest Fisher product, and
+    # u_i or v_i carries |x - y_j|_i by its sign.  B = [[y_j - x, diag(+-1)],
+    # [1, 0]] has determinant +-1 and B^-1 b = (1, |x - y_j|) >= 0.
+    j = int(np.argmax(others @ x))
+    coords = np.arange(d)
+    crash = np.concatenate([[j], np.where(x >= others[j], k + coords, k + d + coords)])
+    result = solve_standard_form(c, A, b, max_pivots=_pivot_cap(k, d), basis=crash)
 
     margin_star = result.objective
     if margin_star > tol_eff:
@@ -254,6 +263,11 @@ def lp_point_vs_set(
         if peak > 1.0:  # rounding can poke the box constraint by ~1e-15
             normal /= peak
         achieved = float(np.min((x - others) @ normal))
+        if not achieved > 0.0:
+            raise LPStallError(
+                f"optimal L1 distance {margin_star:.3e} exceeds the tolerance, but the "
+                f"dual normal's margin is {achieved:.3e}; treating as a diagnostic, not a verdict"
+            )
         return SeparabilityCertificate("separable", "lp", achieved, hyperplane=normal)
     lam = result.x[:k].copy()
     np.maximum(lam, 0.0, out=lam)
@@ -310,15 +324,17 @@ def verify_certificate(
 ) -> bool:
     """Re-check a certificate by direct arithmetic.
 
-    Separable with hyperplane A: (A, x) > (A, y) + margin * (1 - eps) for all
-    y.  Not separable with coefficients: they are nonnegative, sum to 1
-    within tolerance, and reconstruct x within 10 * tol.  Verdicts without a
-    witness (vacuous separations, exhaustive oracle proofs, Fisher failures)
-    verify trivially.
+    Separable with hyperplane A: margin > 0 and (A, x) > (A, y) + margin *
+    (1 - eps) for all y.  Not separable with coefficients: they are
+    nonnegative, sum to 1 within tolerance, and reconstruct x within 10 * tol.
+    Verdicts without a witness (vacuous separations, exhaustive oracle proofs,
+    Fisher failures) verify trivially.
     """
     x = np.asarray(x, dtype=np.float64)
     others = np.asarray(others, dtype=np.float64)
     if cert.separable and cert.hyperplane is not None:
+        if not cert.margin > 0.0:  # also rejects NaN
+            return False
         if len(others) == 0:
             return True
         lhs = float(cert.hyperplane @ x)

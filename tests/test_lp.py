@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from layersep.errors import LPStallError
+from layersep.errors import DomainError, LPStallError
 from layersep.lp import solve_standard_form
 
 
@@ -61,3 +61,62 @@ def test_redundant_rows_are_tolerated():
     res = solve_standard_form(c=[0.0, 1.0], A=A, b=[1.0, 1.0], max_pivots=100)
     assert res.status == "optimal"
     assert res.x == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
+# Beale (1955): Dantzig's most-negative rule with lowest-index ratio ties
+# cycles on this program from the slack basis
+BEALE_C = [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]
+BEALE_A = [
+    [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+    [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+]
+BEALE_B = [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("basis", [[0, 1, 2], None])
+def test_bland_fallback_breaks_beale_cycle(basis):
+    res = solve_standard_form(BEALE_C, BEALE_A, BEALE_B, max_pivots=100, basis=basis)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-1.25, abs=1e-12)
+    assert np.asarray(BEALE_A) @ res.x == pytest.approx(BEALE_B, abs=1e-12)
+
+
+def test_start_basis_skips_phase_one():
+    # min x2  s.t.  x1 + x2 = 1, started at x2 = 1: one pivot to x = (1, 0)
+    res = solve_standard_form(c=[0.0, 1.0], A=[[1.0, 1.0]], b=[1.0], max_pivots=100, basis=[1])
+    assert res.status == "optimal"
+    assert res.pivots == 1
+    assert res.x == pytest.approx([1.0, 0.0], abs=1e-12)
+    # an optimal start basis needs no pivot at all
+    res = solve_standard_form(c=[0.0, 1.0], A=[[1.0, 1.0]], b=[1.0], max_pivots=0, basis=[0])
+    assert res.pivots == 0
+    assert res.objective == 0.0
+
+
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        ([0], "integer column indices"),  # wrong length
+        ([0, 1, 2], "integer column indices"),
+        ([0.0, 1.0], "integer column indices"),
+        ([True, False], "integer column indices"),
+        ([[0, 1]], "integer column indices"),
+        ([0, 0], "distinct"),
+        ([0, 4], r"lie in \[0, 4\)"),
+        ([-1, 0], r"lie in \[0, 4\)"),
+        ([0, 1], "singular"),  # columns 0 and 1 are parallel
+        ([2, 3], "not feasible"),  # x3 = -1
+    ],
+)
+def test_start_basis_is_validated(basis, message):
+    A = [[1.0, 2.0, 1.0, 0.0], [1.0, 2.0, 0.0, 1.0]]
+    b = [1.0, -1.0]
+    with pytest.raises(DomainError, match=message):
+        solve_standard_form(c=[1.0, 1.0, 1.0, 1.0], A=A, b=b, max_pivots=100, basis=basis)
+
+
+def test_nearly_singular_start_basis_is_rejected():
+    A = [[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]
+    with pytest.raises(DomainError, match="singular"):
+        solve_standard_form(c=[1.0, 1.0], A=A, b=[1.0, 1.0], max_pivots=100, basis=[0, 1])

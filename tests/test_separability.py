@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from layersep.errors import DomainError, EnumerationLimitError
+from layersep import separability
+from layersep.errors import DomainError, EnumerationLimitError, LPStallError
 from layersep.exact import exact_oracle_point, exact_point_vs_set
 from layersep.geometry import LayerSpec, PointCloud, sample_layer
+from layersep.lp import SimplexResult, solve_standard_form
 from layersep.separability import (
     FISHER_BLOCK,
     SeparabilityCertificate,
@@ -422,8 +424,69 @@ def test_exact_oracle_vertex_of_simplex_separable():
     assert cert.verdict == "separable"
 
 
+def hull_instances():
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 5, 8, 12):
+        for k in (1, 7, 60, 999):
+            for r in (0.0, 0.9):
+                pts = sample_layer(LayerSpec(d=d, r=r), k + 1, seed=int(rng.integers(1 << 30))).points
+                i = int(rng.integers(k + 1))
+                others = np.delete(pts, i, axis=0)
+                yield pts[i], others
+                # the query duplicates a cloud point, so it lies in the hull
+                yield pts[i], np.vstack([others, pts[i]])
+
+
+def test_crash_start_agrees_with_phase_one(monkeypatch):
+    objectives = []
+
+    def recorded(c, A, b, max_pivots, basis=None):
+        result = solve_standard_form(c, A, b, max_pivots=max_pivots, basis=basis)
+        objectives.append(result.objective)
+        return result
+
+    def phase_one(c, A, b, max_pivots, basis):
+        return recorded(c, A, b, max_pivots=max_pivots)
+
+    verdicts = set()
+    for x, others in hull_instances():
+        monkeypatch.setattr(separability, "solve_standard_form", recorded)
+        crash = lp_point_vs_set(x, others)
+        monkeypatch.setattr(separability, "solve_standard_form", phase_one)
+        plain = lp_point_vs_set(x, others)
+        assert crash.verdict == plain.verdict
+        assert objectives[-2] == pytest.approx(objectives[-1], abs=1e-12)
+        assert crash.margin == pytest.approx(plain.margin, abs=1e-12)
+        assert verify_certificate(crash, x, others)
+        assert verify_certificate(plain, x, others)
+        verdicts.add(crash.verdict)
+    assert verdicts == {"separable", "not_separable"}
+
+
+def test_lp_nonseparating_normal_is_a_diagnostic(monkeypatch):
+    # an optimal distance above tol whose dual normal separates nothing must
+    # raise, not become a separable verdict
+    def broken(c, A, b, max_pivots, basis=None):
+        m, n = np.shape(A)
+        return SimplexResult("optimal", np.zeros(n), np.zeros(m), 1.0, 0)
+
+    monkeypatch.setattr(separability, "solve_standard_form", broken)
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    with pytest.raises(LPStallError):
+        lp_point_vs_set(np.zeros(2), square)
+
+
 # ---------------------------------------------------------------------------
 # certificates
+
+
+@pytest.mark.parametrize("margin", [-1.0, 0.0, math.nan])
+def test_separable_certificate_needs_positive_margin(margin):
+    # x = 0 lies inside the square: no hyperplane separates it
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    cert = SeparabilityCertificate("separable", "lp", margin, hyperplane=np.zeros(2))
+    assert not verify_certificate(cert, np.zeros(2), square)
+    assert not verify_certificate(cert, np.zeros(2), np.zeros((0, 2)))
 
 
 def test_certificates_recheck_on_random_clouds():
