@@ -39,8 +39,6 @@ from .experiments import (
     ExperimentRecord,
     frequency_interval,
     run_experiment,
-    run_point_level,
-    run_set_level,
 )
 from .geometry import (
     LayerSpec,
@@ -108,7 +106,5 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentRecord",
     "frequency_interval",
-    "run_point_level",
-    "run_set_level",
     "run_experiment",
 ]

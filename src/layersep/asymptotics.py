@@ -29,7 +29,7 @@ from .bounds import (
     _n_fisher,
     log_one_minus_r_sq,
 )
-from .errors import DomainError
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "CRITICAL_RADII",
@@ -113,7 +113,7 @@ def classify_radius(r: float, context: str) -> RadiusRegime:
         raise DomainError(
             f"unknown critical-radius context {context!r}; expected one of {sorted(CRITICAL_RADII)}"
         )
-    r = _validated_radius(r)
+    r = check_real(r, "r", 0.0, 1.0)
     critical = CRITICAL_RADII[context]
     if abs(r - critical) < KNIFE_EDGE_TOL:
         regime = AT
@@ -124,32 +124,6 @@ def classify_radius(r: float, context: str) -> RadiusRegime:
     return RadiusRegime(regime=regime, critical_value=critical, context=context)
 
 
-def _validated_radius(r: float) -> float:
-    r = float(r)
-    if not (0.0 < r < 1.0) or math.isnan(r):
-        raise DomainError(f"asymptotic laws need 0 < r < 1, got {r!r}")
-    return r
-
-
-def _validated_theta(theta: float) -> float:
-    theta = float(theta)
-    if not (0.0 < theta < 1.0) or math.isnan(theta):
-        raise DomainError(f"failure budget theta must satisfy 0 < theta < 1, got {theta!r}")
-    return theta
-
-
-def _validated_d(d: int) -> int:
-    if isinstance(d, bool) or not float(d).is_integer() or int(d) < 1:
-        raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
-    return int(d)
-
-
-def _validated_n(n: int, minimum: int) -> int:
-    if isinstance(n, bool) or not float(n).is_integer() or int(n) < minimum:
-        raise DomainError(f"point count must be an integer >= {minimum}, got {n!r}")
-    return int(n)
-
-
 def eq1_asymptotic(r: float, theta: float, d: int) -> AsymptoticValue:
     """Approximant of the sharpest Fisher count threshold, selected by regime.
 
@@ -157,7 +131,8 @@ def eq1_asymptotic(r: float, theta: float, d: int) -> AsymptoticValue:
     on the knife edge (the equality case, not an approximation); and
     sqrt(2 theta) / (1 - r^2)^(d/4) below.
     """
-    r, theta, d = _validated_radius(r), _validated_theta(theta), _validated_d(d)
+    r, theta = check_real(r, "r", 0.0, 1.0), check_real(theta, "theta", 0.0, 1.0)
+    d = check_int(d, "d", 1)
     regime = classify_radius(r, "fisher_count")
     if regime.regime == ABOVE:
         log_value = math.log(theta) - d * _log_r(r)
@@ -177,7 +152,8 @@ def fisher_ratio_f_over_g(r: float, theta: float, d: int) -> RatioLaw:
     it, and tends to 1/sqrt(2) below: the crude threshold loses at most a
     factor sqrt(2) where it is competitive at all.
     """
-    r, theta, d = _validated_radius(r), _validated_theta(theta), _validated_d(d)
+    r, theta = check_real(r, "r", 0.0, 1.0), check_real(theta, "theta", 0.0, 1.0)
+    d = check_int(d, "d", 1)
     regime = classify_radius(r, "fisher_count")
     q = BoundQuery(d=d, r=r, theta=theta)
     log_f = _n_fisher(q).log_raw
@@ -213,7 +189,8 @@ def layer_count_ratio(r: float, theta: float, d: int) -> RatioLaw:
     checks against the value assembled from the two thresholds, raising
     ArithmeticError if they drift apart.
     """
-    r, theta, d = _validated_radius(r), _validated_theta(theta), _validated_d(d)
+    r, theta = check_real(r, "r", 0.0, 1.0), check_real(theta, "theta", 0.0, 1.0)
+    d = check_int(d, "d", 1)
     regime = classify_radius(r, "count_ratio")
     log_f = 0.5 * (math.log(theta) + d * math.log(2.0))
     log_g = _n_fisher(BoundQuery(d=d, r=r, theta=theta)).log_raw
@@ -250,7 +227,7 @@ def fisher_gap_exact(d: int, r: float, n: int) -> tuple[float, float]:
     Keeping r^d as a term of log1p preserves gaps far below 2^-53, where the
     bound would round to exactly 1.
     """
-    d, r, n = _validated_d(d), _validated_radius(r), _validated_n(n, 1)
+    d, r, n = check_int(d, "d", 1), check_real(r, "r", 0.0, 1.0), check_int(n, "n", 1)
     rd = math.exp(d * _log_r(r))
     half_width = 0.5 * math.exp(0.5 * d * log_one_minus_r_sq(r))
     crowding = (n - 1) * half_width
@@ -272,7 +249,7 @@ def fisher_gap_asymptotic(r: float, n: int, d: int) -> AsymptoticValue:
     n(n-1)/2 (1-r^2)^(d/2) below (pair crowding dominates); their knife-edge
     merger n(n+1)/2 2^(-d/2) exactly on it.
     """
-    r, n, d = _validated_radius(r), _validated_n(n, 1), _validated_d(d)
+    r, n, d = check_real(r, "r", 0.0, 1.0), check_int(n, "n", 1), check_int(d, "d", 1)
     regime = classify_radius(r, "set_gap")
     if regime.regime == ABOVE:
         log_value = math.log(n) + d * _log_r(r)
@@ -293,7 +270,7 @@ def gap_ratio_linear_vs_fisher(r: float, n: int, d: int) -> RatioLaw:
     The ratio diverges in every regime: the linear set bound approaches 1
     faster than the Fisher set bound for every inner radius.
     """
-    r, n, d = _validated_radius(r), _validated_n(n, 2), _validated_d(d)
+    r, n, d = check_real(r, "r", 0.0, 1.0), check_int(n, "n", 2), check_int(d, "d", 1)
     regime = classify_radius(r, "set_gap")
     _, log_gap = fisher_gap_exact(d, r, n)
     log_linear_gap = math.log(n) + math.log(n - 1.0) - d * math.log(2.0)

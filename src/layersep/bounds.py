@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "BOUND_IDS",
@@ -72,27 +72,11 @@ class BoundQuery:
     theta: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.d, bool) or not float(self.d).is_integer():
-            raise DomainError(f"dimension must be an integer, got {self.d!r}")
-        if int(self.d) < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.d}")
-        if isinstance(self.n, bool) or not float(self.n).is_integer():
-            raise DomainError(f"point count must be an integer, got {self.n!r}")
-        if int(self.n) < 0:
-            raise DomainError(f"point count must be >= 0, got {self.n}")
-        r = float(self.r)
-        if not (0.0 <= r < 1.0) or math.isnan(r):
-            raise DomainError(f"inner radius must satisfy 0 <= r < 1, got {self.r!r}")
+        object.__setattr__(self, "d", check_int(self.d, "d", 1))
+        object.__setattr__(self, "n", check_int(self.n, "n", 0))
+        object.__setattr__(self, "r", check_real(self.r, "r", 0.0, 1.0, low_closed=True))
         if self.theta is not None:
-            theta = float(self.theta)
-            if not (0.0 < theta < 1.0) or math.isnan(theta):
-                raise DomainError(
-                    f"failure budget theta must satisfy 0 < theta < 1, got {self.theta!r}"
-                )
-            object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "r", r)
+            object.__setattr__(self, "theta", check_real(self.theta, "theta", 0.0, 1.0))
 
     def _require_theta(self) -> float:
         if self.theta is None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import asymptotics as asymptotics_mod
 from .bounds import BOUND_IDS, COUNT_BOUND_IDS, evaluate_bound
-from .errors import DomainError, EnumerationLimitError, LPStallError
+from .errors import DomainError, EnumerationLimitError, LPStallError, check_int, check_real
 from .experiments import ExperimentPlan, run_experiment
 from .geometry import LayerSpec, PointCloud, sample_layer
 from .separability import (
@@ -69,19 +69,6 @@ DEFAULT_R_GRID = "0,0.5,0.8,0.9"
 DEFAULT_D_GRID = {"point": "1:60:1", "set": "1:80:1"}
 DEFAULT_N = {"point": 10000, "set": 1000}
 
-_ASYMPTOTIC_OPS = (
-    "eq1_asymptotic",
-    "fisher_ratio_f_over_g",
-    "layer_count_ratio",
-    "fisher_gap_exact",
-    "fisher_gap_asymptotic",
-    "gap_ratio_linear_vs_fisher",
-    "classify",
-)
-_THETA_OPS = {"eq1_asymptotic", "fisher_ratio_f_over_g", "layer_count_ratio"}
-_GAP_OPS = {"fisher_gap_exact", "fisher_gap_asymptotic", "gap_ratio_linear_vs_fisher"}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One validated CLI invocation: subcommand, its options, and the sink."""
@@ -96,71 +83,39 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_int_grid(text: str, fail) -> tuple[int, ...]:
-    values: list[int] = []
+def _parse_grid(text: str, kind) -> tuple:
+    """Values of ``kind`` (int or float) from a comma list of entries, each a
+    value or an inclusive ``start:stop:step`` range."""
+    values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
-            fail(f"empty entry in grid {text!r}")
-        if ":" in chunk:
-            parts = chunk.split(":")
-            if len(parts) != 3:
-                fail(f"range must be start:stop:step, got {chunk!r}")
-            try:
-                start, stop, step = (int(p) for p in parts)
-            except ValueError:
-                fail(f"non-integer range bound in {chunk!r}")
-            if step < 1:
-                fail(f"range step must be >= 1, got {step}")
-            if start > stop:
-                fail(f"empty range {chunk!r} (start > stop)")
+            raise DomainError(f"empty entry in grid {text!r}")
+        parts = chunk.split(":")
+        if len(parts) not in (1, 3):
+            raise DomainError(f"range must be start:stop:step, got {chunk!r}")
+        try:
+            numbers = [kind(part) for part in parts]
+        except ValueError:
+            raise DomainError(f"expected {kind.__name__} values, got {chunk!r}") from None
+        if len(numbers) == 1:
+            values.append(numbers[0])
+            continue
+        start, stop, step = numbers
+        if kind is float and not all(map(math.isfinite, numbers)):
+            raise DomainError(f"range bounds and step must be finite, got {chunk!r}")
+        if not step > 0:
+            raise DomainError(f"range step must be positive, got {step}")
+        if start > stop:
+            raise DomainError(f"empty range {chunk!r} (start > stop)")
+        if kind is int:
             values.extend(range(start, stop + 1, step))
         else:
-            try:
-                values.append(int(chunk))
-            except ValueError:
-                fail(f"expected an integer, got {chunk!r}")
-    return tuple(values)
-
-
-def _parse_float_grid(text: str, fail) -> tuple[float, ...]:
-    values: list[float] = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            fail(f"empty entry in grid {text!r}")
-        if ":" in chunk:
-            parts = chunk.split(":")
-            if len(parts) != 3:
-                fail(f"range must be start:stop:step, got {chunk!r}")
-            try:
-                start, stop, step = (float(p) for p in parts)
-            except ValueError:
-                fail(f"non-numeric range bound in {chunk!r}")
-            if not step > 0.0:
-                fail(f"range step must be > 0, got {step}")
-            if start > stop:
-                fail(f"empty range {chunk!r} (start > stop)")
             count = int(math.floor((stop - start) / step + 1e-6))
             # snap accumulated values to 12 decimals so 0.1-steps land on
             # 0.3, not 0.30000000000000004
             values.extend(round(start + i * step, 12) for i in range(count + 1))
-        else:
-            try:
-                values.append(float(chunk))
-            except ValueError:
-                fail(f"expected a real number, got {chunk!r}")
     return tuple(values)
-
-
-def _parse_seed(text: str, fail) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        fail(f"seed must be a decimal integer, got {text!r}")
-    if not 0 <= seed < 2**64:
-        fail(f"seed must lie in [0, 2^64), got {seed}")
-    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +235,7 @@ def parse_args(argv) -> RunConfig:
     p_bounds.add_argument("--output", default="-", help="file path or - for stdout")
 
     p_asym = sub.add_parser("asymptotics", help="evaluate one asymptotic law over d")
-    p_asym.add_argument("--op", required=True, choices=_ASYMPTOTIC_OPS)
+    p_asym.add_argument("--op", required=True, choices=(*_ASYMPTOTIC_LAWS, "classify"))
     p_asym.add_argument("--d", default="1", help="dimension grid (ignored by classify)")
     p_asym.add_argument("--r", required=True, type=float, help="inner radius")
     p_asym.add_argument("--theta", type=float, default=None, help="failure budget")
@@ -306,25 +261,27 @@ def parse_args(argv) -> RunConfig:
     p_exp.add_argument("--output", default="-", help="file path or - for stdout")
 
     ns = parser.parse_args(argv)
-    fail = parser.error  # prints usage, names the flag, exits 2
+    try:
+        return _config(ns, parser.error)
+    except DomainError as exc:
+        parser.error(str(exc))  # prints usage, names the flag, exits 2
 
+
+def _config(ns, fail) -> RunConfig:
+    """Validate parsed arguments: a bad value raises DomainError, a missing or
+    unknown option calls ``fail``."""
     if ns.subcommand == "sample":
-        seed = _parse_seed(ns.seed, fail)
-        try:
-            layer = LayerSpec(d=ns.d, r=ns.r)
-        except DomainError as exc:
-            fail(str(exc))
-        if ns.n < 0:
-            fail(f"--n must be nonnegative, got {ns.n}")
-        return RunConfig("sample", {"layer": layer, "n": ns.n, "seed": seed}, ns.output)
+        seed = check_int(ns.seed, "--seed", 0, 2**64)
+        layer = LayerSpec(d=ns.d, r=ns.r)
+        n = check_int(ns.n, "--n", 0)
+        return RunConfig("sample", {"layer": layer, "n": n, "seed": seed}, ns.output)
 
     if ns.subcommand == "check":
-        if not ns.tol > 0.0 or not math.isfinite(ns.tol):
-            fail(f"--tol must be a positive finite real, got {ns.tol}")
+        tol = check_real(ns.tol, "--tol", 0.0, math.inf)
         kinds = ("linear", "fisher") if ns.kind == "both" else (ns.kind,)
         return RunConfig(
             "check",
-            {"input": ns.input, "mode": ns.mode, "kinds": kinds, "tol": ns.tol},
+            {"input": ns.input, "mode": ns.mode, "kinds": kinds, "tol": tol},
         )
 
     if ns.subcommand == "bounds":
@@ -332,30 +289,24 @@ def parse_args(argv) -> RunConfig:
         for bound_id in ids:
             if bound_id not in BOUND_IDS:
                 fail(f"unknown bound id {bound_id!r}; expected one of {', '.join(BOUND_IDS)}")
-        d_values = _parse_int_grid(ns.d, fail)
-        r_values = _parse_float_grid(ns.r, fail)
-        if ns.n < 0:
-            fail(f"--n must be nonnegative, got {ns.n}")
+        d_values = _parse_grid(ns.d, int)
+        r_values = _parse_grid(ns.r, float)
+        n = check_int(ns.n, "--n", 0)
         needs_theta = [b for b in ids if b in COUNT_BOUND_IDS]
         if needs_theta and ns.theta is None:
             fail(f"--theta is required for count bounds ({', '.join(needs_theta)})")
-        if ns.theta is not None and not 0.0 < ns.theta < 1.0:
-            fail(f"--theta must lie in (0, 1), got {ns.theta}")
+        theta = None if ns.theta is None else check_real(ns.theta, "--theta", 0.0, 1.0)
         return RunConfig(
             "bounds",
-            {"ids": ids, "d_values": d_values, "r_values": r_values,
-             "n": ns.n, "theta": ns.theta},
+            {"ids": ids, "d_values": d_values, "r_values": r_values, "n": n, "theta": theta},
             ns.output,
         )
 
     if ns.subcommand == "asymptotics":
-        d_values = _parse_int_grid(ns.d, fail)
-        if ns.op in _THETA_OPS and ns.theta is None:
-            fail(f"--theta is required for {ns.op}")
-        if ns.op in _GAP_OPS and ns.n is None:
-            fail(f"--n is required for {ns.op}")
-        if ns.op == "classify" and ns.context is None:
-            fail("--context is required for classify")
+        d_values = _parse_grid(ns.d, int)
+        param = _ASYMPTOTIC_LAWS[ns.op][0] if ns.op in _ASYMPTOTIC_LAWS else "context"
+        if getattr(ns, param) is None:
+            fail(f"--{param} is required for {ns.op}")
         return RunConfig(
             "asymptotics",
             {"op": ns.op, "d_values": d_values, "r": ns.r, "theta": ns.theta,
@@ -363,26 +314,23 @@ def parse_args(argv) -> RunConfig:
         )
 
     # experiment
-    seed = _parse_seed(ns.seed, fail)
+    seed = check_int(ns.seed, "--seed", 0, 2**64)
     mode = {"point": "point_level", "set": "set_level"}[ns.mode]
     d_text = ns.d if ns.d is not None else DEFAULT_D_GRID[ns.mode]
     n = ns.n if ns.n is not None else DEFAULT_N[ns.mode]
     kinds = tuple(s.strip() for s in ns.kinds.split(",") if s.strip())
-    try:
-        plan = ExperimentPlan(
-            mode=mode,
-            d_values=_parse_int_grid(d_text, fail),
-            r_values=_parse_float_grid(ns.r, fail),
-            n=n,
-            trials=ns.trials,
-            master_seed=seed,
-            tol=ns.tol,
-            check_kinds=kinds,
-            workers=ns.workers,
-            deterministic_timing=not ns.measure_timing,
-        )
-    except DomainError as exc:
-        fail(str(exc))
+    plan = ExperimentPlan(
+        mode=mode,
+        d_values=_parse_grid(d_text, int),
+        r_values=_parse_grid(ns.r, float),
+        n=n,
+        trials=ns.trials,
+        master_seed=seed,
+        tol=ns.tol,
+        check_kinds=kinds,
+        workers=ns.workers,
+        deterministic_timing=not ns.measure_timing,
+    )
     return RunConfig("experiment", {"plan": plan}, ns.output)
 
 
@@ -506,9 +454,37 @@ def _run_bounds(cfg: RunConfig) -> None:
     )
 
 
+def _value_fields(v) -> str:
+    return f"regime={v.regime.regime} value={_fmt(v.value)} log_value={_fmt(v.log_value)}"
+
+
+def _ratio_fields(law) -> str:
+    return (
+        f"regime={law.regime.regime} exact={_fmt(law.exact)} approximant={_fmt(law.approximant)}"
+        f" limit_value={_fmt(law.limit_value)} limit_tag={law.limit_tag}"
+    )
+
+
+def _gap_fields(gap) -> str:
+    return f"gap={_fmt(gap[0])} log_gap={_fmt(gap[1])}"
+
+
+# op -> (the parameter it takes besides r and d, the fields of its result).
+# Each op is named after its law in asymptotics, which takes r, d and that
+# parameter by keyword.
+_ASYMPTOTIC_LAWS = {
+    "eq1_asymptotic": ("theta", _value_fields),
+    "fisher_ratio_f_over_g": ("theta", _ratio_fields),
+    "layer_count_ratio": ("theta", _ratio_fields),
+    "fisher_gap_exact": ("n", _gap_fields),
+    "fisher_gap_asymptotic": ("n", _value_fields),
+    "gap_ratio_linear_vs_fisher": ("n", _ratio_fields),
+}
+
+
 def _run_asymptotics(cfg: RunConfig) -> None:
     o = cfg.options
-    op, r, theta, n = o["op"], o["r"], o["theta"], o["n"]
+    op, r = o["op"], o["r"]
     out = sys.stdout
     if op == "classify":
         regime = asymptotics_mod.classify_radius(r, o["context"])
@@ -517,38 +493,13 @@ def _run_asymptotics(cfg: RunConfig) -> None:
             f" regime={regime.regime} critical_value={_fmt(regime.critical_value)}\n"
         )
         return
+    param, fields = _ASYMPTOTIC_LAWS[op]
+    value = o[param]
+    shown = _fmt(value) if param == "theta" else value
+    law = getattr(asymptotics_mod, op)
     for d in o["d_values"]:
-        prefix = f"op={op} d={d} r={_fmt(r)}"
-        if op == "eq1_asymptotic":
-            v = asymptotics_mod.eq1_asymptotic(r, theta, d)
-            out.write(
-                f"{prefix} theta={_fmt(theta)} regime={v.regime.regime}"
-                f" value={_fmt(v.value)} log_value={_fmt(v.log_value)}\n"
-            )
-        elif op == "fisher_gap_exact":
-            gap, log_gap = asymptotics_mod.fisher_gap_exact(d, r, n)
-            out.write(f"{prefix} n={n} gap={_fmt(gap)} log_gap={_fmt(log_gap)}\n")
-        elif op == "fisher_gap_asymptotic":
-            v = asymptotics_mod.fisher_gap_asymptotic(r, n, d)
-            out.write(
-                f"{prefix} n={n} regime={v.regime.regime}"
-                f" value={_fmt(v.value)} log_value={_fmt(v.log_value)}\n"
-            )
-        else:
-            if op == "fisher_ratio_f_over_g":
-                law = asymptotics_mod.fisher_ratio_f_over_g(r, theta, d)
-                param = f"theta={_fmt(theta)}"
-            elif op == "layer_count_ratio":
-                law = asymptotics_mod.layer_count_ratio(r, theta, d)
-                param = f"theta={_fmt(theta)}"
-            else:
-                law = asymptotics_mod.gap_ratio_linear_vs_fisher(r, n, d)
-                param = f"n={n}"
-            out.write(
-                f"{prefix} {param} regime={law.regime.regime}"
-                f" exact={_fmt(law.exact)} approximant={_fmt(law.approximant)}"
-                f" limit_value={_fmt(law.limit_value)} limit_tag={law.limit_tag}\n"
-            )
+        result = law(r=r, d=d, **{param: value})
+        out.write(f"op={op} d={d} r={_fmt(r)} {param}={shown} {fields(result)}\n")
 
 
 def _run_experiment(cfg: RunConfig) -> None:

@@ -1,8 +1,11 @@
-"""Exceptions shared across the package.
+"""Exceptions shared across the package, and the one validator per parameter
+kind that raises the first of them.
 
 Each class maps to one failure family so callers (and the CLI exit-code
 table) can tell bad inputs apart from solver trouble.
 """
+
+import math
 
 
 class DomainError(ValueError):
@@ -20,3 +23,35 @@ class LPStallError(RuntimeError):
 
 class EnumerationLimitError(ValueError):
     """The exact oracle's subset enumeration would exceed its size guard."""
+
+
+def check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int in ``[low, high)``, unbounded above when ``high`` is None.
+
+    Ints, numpy ints and integral floats pass; bools, NaN, non-integral values,
+    non-numbers and integers beyond float range raise DomainError.
+    """
+    try:
+        number = int(value) if float(value).is_integer() else None
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if isinstance(value, bool) or number is None or number < low or (
+        high is not None and number >= high
+    ):
+        span = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+    return number
+
+
+def check_real(value, name: str, low: float, high: float, low_closed: bool = False) -> float:
+    """``value`` as a float in ``(low, high)``, or ``[low, high)`` when
+    ``low_closed``; NaN and non-numbers raise DomainError."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not ((number >= low if low_closed else number > low) and number < high):  # NaN fails
+        raise DomainError(
+            f"{name} must lie in {'[' if low_closed else '('}{low}, {high}), got {value!r}"
+        )
+    return number

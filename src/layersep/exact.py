@@ -19,9 +19,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import EnumerationLimitError
+from .errors import EnumerationLimitError, check_int
 from .geometry import PointCloud
-from .separability import SeparabilityCertificate, _check_index, _others
+from .separability import SeparabilityCertificate, _others
 
 __all__ = ["exact_oracle_point", "exact_point_vs_set", "MAX_SUBSETS"]
 
@@ -60,7 +60,7 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
 
 def exact_oracle_point(i: int, cloud: PointCloud, max_subsets: int = MAX_SUBSETS) -> SeparabilityCertificate:
     """Exact verdict for point i of a cloud versus all the others."""
-    i = _check_index(i, cloud.n)
+    i = check_int(i, "point index", 0, cloud.n)
     return exact_point_vs_set(cloud.points[i], _others(cloud.points, i), max_subsets)
 
 

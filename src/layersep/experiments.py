@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundQuery, p1_fisher_lb, p1_linear_lb, p_fisher_lb, p_linear_lb
-from .errors import DomainError
+from .errors import DomainError, check_int, check_real
 from .geometry import LayerSpec, sample_layer
 from .separability import (
     DEFAULT_TOL,
@@ -36,8 +36,6 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentRecord",
     "frequency_interval",
-    "run_point_level",
-    "run_set_level",
     "run_experiment",
 ]
 
@@ -80,37 +78,25 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
-        d_values = tuple(int(d) for d in self.d_values)
-        r_values = tuple(float(r) for r in self.r_values)
+        # every (d, r) cell is a valid LayerSpec exactly when every d and every r is
+        d_values = tuple(LayerSpec(d=d, r=0.0).d for d in self.d_values)
+        r_values = tuple(LayerSpec(d=1, r=r).r for r in self.r_values)
         if not d_values or not r_values:
             raise DomainError("d and r grids must be non-empty")
-        for d in d_values:
-            for r in r_values:
-                LayerSpec(d=d, r=r)  # validates every cell up front
-        if isinstance(self.n, bool) or not float(self.n).is_integer() or int(self.n) < 1:
-            raise DomainError(f"cloud size n must be an integer >= 1, got {self.n!r}")
-        if isinstance(self.trials, bool) or not float(self.trials).is_integer() or int(self.trials) < 1:
-            raise DomainError(f"trials must be an integer >= 1, got {self.trials!r}")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or not (0 <= seed < 2**64):
-            raise DomainError(f"master_seed must be an integer in [0, 2^64), got {seed!r}")
-        tol = float(self.tol)
-        if not (tol > 0.0) or not math.isfinite(tol):
-            raise DomainError(f"tol must be a positive finite real, got {self.tol!r}")
+        object.__setattr__(self, "d_values", d_values)
+        object.__setattr__(self, "r_values", r_values)
+        object.__setattr__(self, "n", check_int(self.n, "n", 1))
+        object.__setattr__(self, "trials", check_int(self.trials, "trials", 1))
+        seed = check_int(self.master_seed, "master_seed", 0, 2**64)
+        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "tol", check_real(self.tol, "tol", 0.0, math.inf))
         kinds = tuple(k for k in CHECK_KINDS if k in tuple(self.check_kinds))
         if not kinds or set(self.check_kinds) - set(CHECK_KINDS):
             raise DomainError(
                 f"check_kinds must be a non-empty subset of {CHECK_KINDS}, got {self.check_kinds!r}"
             )
-        if isinstance(self.workers, bool) or not float(self.workers).is_integer() or int(self.workers) < 1:
-            raise DomainError(f"workers must be an integer >= 1, got {self.workers!r}")
-        object.__setattr__(self, "d_values", d_values)
-        object.__setattr__(self, "r_values", r_values)
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "check_kinds", kinds)
-        object.__setattr__(self, "workers", int(self.workers))
+        object.__setattr__(self, "workers", check_int(self.workers, "workers", 1))
 
 
 @dataclass(frozen=True)
@@ -138,13 +124,8 @@ def frequency_interval(successes: int, trials: int) -> tuple[float, float]:
     The boundary cases pin exactly: zero successes give low = 0.0 and full
     successes give high = 1.0.
     """
-    if isinstance(trials, bool) or not float(trials).is_integer() or int(trials) < 1:
-        raise DomainError(f"trials must be an integer >= 1, got {trials!r}")
-    if isinstance(successes, bool) or not float(successes).is_integer():
-        raise DomainError(f"successes must be an integer, got {successes!r}")
-    successes, trials = int(successes), int(trials)
-    if not 0 <= successes <= trials:
-        raise DomainError(f"successes must lie in [0, {trials}], got {successes}")
+    trials = check_int(trials, "trials", 1)
+    successes = check_int(successes, "successes", 0, trials + 1)
     p_hat = successes / trials
     z_sq = WILSON_Z * WILSON_Z
     den = 1.0 + z_sq / trials
@@ -246,28 +227,14 @@ def _run_cell(plan: ExperimentPlan, d: int, r: float, trial_fn) -> ExperimentRec
     )
 
 
-def run_point_level(plan: ExperimentPlan) -> list[ExperimentRecord]:
-    """One extra point against an n-cloud, per trial; estimates the chance a
-    new sample is separable from what is already there."""
-    if plan.mode != "point_level":
-        raise DomainError(f"plan mode is {plan.mode!r}, expected 'point_level'")
-    return [
-        _run_cell(plan, d, r, _point_trial) for r in plan.r_values for d in plan.d_values
-    ]
-
-
-def run_set_level(plan: ExperimentPlan) -> list[ExperimentRecord]:
-    """Whole-cloud separability per trial; estimates the chance every point of
-    the sample is a hull vertex (linear) or Fisher-separable from the rest."""
-    if plan.mode != "set_level":
-        raise DomainError(f"plan mode is {plan.mode!r}, expected 'set_level'")
-    return [
-        _run_cell(plan, d, r, _set_trial) for r in plan.r_values for d in plan.d_values
-    ]
-
-
 def run_experiment(plan: ExperimentPlan) -> list[ExperimentRecord]:
-    """Dispatch on plan.mode; the single entry point used by the CLI."""
-    if plan.mode == "point_level":
-        return run_point_level(plan)
-    return run_set_level(plan)
+    """Run every (d, r) cell of the plan; the single entry point used by the CLI.
+
+    point_level: one extra point against an n-cloud per trial; estimates the
+    chance a new sample is separable from what is already there.
+    set_level: whole-cloud separability per trial; estimates the chance every
+    point of the sample is a hull vertex (linear) or Fisher-separable from the
+    rest.
+    """
+    trial_fn = _point_trial if plan.mode == "point_level" else _set_trial
+    return [_run_cell(plan, d, r, trial_fn) for r in plan.r_values for d in plan.d_values]

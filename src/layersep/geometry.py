@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "LayerSpec",
@@ -42,15 +42,8 @@ class LayerSpec:
     r: float
 
     def __post_init__(self):
-        if isinstance(self.d, bool) or not float(self.d).is_integer():
-            raise DomainError(f"dimension must be an integer, got {self.d!r}")
-        if int(self.d) < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.d}")
-        r = float(self.r)
-        if not (0.0 <= r < 1.0) or math.isnan(r):
-            raise DomainError(f"inner radius must satisfy 0 <= r < 1, got {self.r!r}")
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "d", check_int(self.d, "d", 1))
+        object.__setattr__(self, "r", check_real(self.r, "r", 0.0, 1.0, low_closed=True))
 
 
 @dataclass(frozen=True)
@@ -135,9 +128,7 @@ def sample_layer(layer: LayerSpec, n: int, seed: int) -> PointCloud:
     :func:`radius_inverse_cdf`.  Identical ``(layer, n, seed)`` triples yield
     bit-identical clouds.
     """
-    if isinstance(n, bool) or not float(n).is_integer() or int(n) < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = check_int(n, "n", 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, layer.d))
     norms = np.linalg.norm(g, axis=1)
@@ -154,9 +145,7 @@ def sample_layer(layer: LayerSpec, n: int, seed: int) -> PointCloud:
 
 def log_unit_ball_volume(d: int) -> float:
     """Natural log of the d-dimensional unit ball volume pi^(d/2)/Gamma(d/2+1)."""
-    if isinstance(d, bool) or not float(d).is_integer() or int(d) < 1:
-        raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
-    d = int(d)
+    d = check_int(d, "d", 1)
     return 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
 
 

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, LPStallError
+from .errors import LPStallError, check_int, check_real
 from .geometry import PointCloud
 from .lp import solve_standard_form
 
@@ -115,12 +115,6 @@ def _others(points: np.ndarray, i: int) -> np.ndarray:
     return np.delete(points, i, axis=0)
 
 
-def _check_index(i, n):
-    if isinstance(i, bool) or not float(i).is_integer() or not 0 <= int(i) < n:
-        raise DomainError(f"point index {i!r} out of range for n={n}")
-    return int(i)
-
-
 # ---------------------------------------------------------------------------
 # Fisher checks
 
@@ -189,7 +183,7 @@ def fisher_point_vs_set(x: np.ndarray, others: np.ndarray) -> SeparabilityCertif
 
 def fisher_separable_point(i: int, cloud: PointCloud) -> SeparabilityCertificate:
     """Is point i Fisher-separable from the rest of the cloud?"""
-    i = _check_index(i, cloud.n)
+    i = check_int(i, "point index", 0, cloud.n)
     return fisher_point_vs_set(cloud.points[i], _others(cloud.points, i))
 
 
@@ -222,8 +216,7 @@ def lp_point_vs_set(
     """
     x = np.asarray(x, dtype=np.float64)
     others = np.asarray(others, dtype=np.float64)
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    tol = check_real(tol, "tol", 0.0, np.inf)
     d = x.shape[0]
     k = others.shape[0]
     if k == 0:
@@ -280,7 +273,7 @@ def linearly_separable_point(
     i: int, cloud: PointCloud, tol: float = DEFAULT_TOL
 ) -> SeparabilityCertificate:
     """Is point i outside the convex hull of the rest of the cloud?"""
-    i = _check_index(i, cloud.n)
+    i = check_int(i, "point index", 0, cloud.n)
     return lp_point_vs_set(cloud.points[i], _others(cloud.points, i), tol)
 
 

@@ -88,6 +88,9 @@ def test_experiment_defaults():
         ["asymptotics", "--op", "classify", "--r", "0.5"],  # no context
         ["bounds", "--id", "p_linear_lb", "--d", "3", "--frobnicate"],
         ["navigate"],
+        ["bounds", "--id", "p1_linear_lb", "--d", "3", "--r", "nan:1:0.1"],
+        ["bounds", "--id", "p1_linear_lb", "--d", "3", "--r", "0:inf:0.5"],
+        ["bounds", "--id", "p1_linear_lb", "--d", "3", "--r", "0:1:inf"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -295,3 +298,77 @@ def test_asymptotics_ratio_law_line(capsys):
     line = capsys.readouterr().out.strip()
     assert "limit_tag=diverges" in line
     assert "exact=" in line and "approximant=" in line
+
+
+ASYMPTOTICS_LINES = {
+    "eq1_asymptotic": (
+        "--theta", "0.25",
+        "op=eq1_asymptotic d=3 r=0.75 theta=0.25 regime=below_critical value=1.3144723621664034 log_value=0.27343533960837824",
+        "op=eq1_asymptotic d=40 r=0.75 theta=0.25 regime=below_critical value=2752.3548726701674 log_value=7.9202121415647069",
+        "op=eq1_asymptotic d=120 r=0.75 theta=0.25 regime=below_critical value=41700693873.043617 log_value=24.453783605254063",
+    ),
+    "fisher_ratio_f_over_g": (
+        "--theta", "0.25",
+        "op=fisher_ratio_f_over_g d=3 r=0.75 theta=0.25 regime=below_critical exact=1.8401948925486771 approximant=0.70710678118654757 limit_value=0.70710678118654746 limit_tag=converges",
+        "op=fisher_ratio_f_over_g d=40 r=0.75 theta=0.25 regime=below_critical exact=0.74733387136727791 approximant=0.70710678118654757 limit_value=0.70710678118654746 limit_tag=converges",
+        "op=fisher_ratio_f_over_g d=120 r=0.75 theta=0.25 regime=below_critical exact=0.70716676420348001 approximant=0.70710678118654757 limit_value=0.70710678118654746 limit_tag=converges",
+    ),
+    "layer_count_ratio": (
+        "--theta", "0.25",
+        "op=layer_count_ratio d=3 r=0.75 theta=0.25 regime=below_critical exact=1.5215230518074698 approximant=1.5215230518074698 limit_value=inf limit_tag=diverges",
+        "op=layer_count_ratio d=40 r=0.75 theta=0.25 regime=below_critical exact=269.3893899917602 approximant=269.3893899917602 limit_value=inf limit_tag=diverges",
+        "op=layer_count_ratio d=120 r=0.75 theta=0.25 regime=below_critical exact=19549761.367646802 approximant=19549761.367646869 limit_value=inf limit_tag=diverges",
+    ),
+    "fisher_gap_exact": (
+        "--n", "12",
+        "op=fisher_gap_exact d=3 r=0.75 n=12 gap=1 log_gap=0",
+        "op=fisher_gap_exact d=40 r=0.75 n=12 gap=0.00012502798553076447 log_gap=-8.9869729614741942",
+        "op=fisher_gap_exact d=120 r=0.75 n=12 gap=1.2204880410020494e-14 log_gap=-32.036940489555349",
+    ),
+    "fisher_gap_asymptotic": (
+        "--n", "12",
+        "op=fisher_gap_asymptotic d=3 r=0.75 n=12 regime=above_critical value=5.0625 log_value=1.6218604324326575",
+        "op=fisher_gap_asymptotic d=40 r=0.75 n=12 regime=above_critical value=0.00012067902193965014 log_value=-9.0223762482832353",
+        "op=fisher_gap_asymptotic d=120 r=0.75 n=12 regime=above_critical value=1.2204861433028467e-14 log_value=-32.036942044425707",
+    ),
+    "gap_ratio_linear_vs_fisher": (
+        "--n", "12",
+        "op=gap_ratio_linear_vs_fisher d=3 r=0.75 n=12 regime=above_critical exact=0.060606060606060615 approximant=0.30681818181818177 limit_value=inf limit_tag=diverges",
+        "op=gap_ratio_linear_vs_fisher d=40 r=0.75 n=12 regime=above_critical exact=1041437.3021854936 approximant=1005212.0291763665 limit_value=inf limit_tag=diverges",
+        "op=gap_ratio_linear_vs_fisher d=120 r=0.75 n=12 regime=above_critical exact=1.2290203580459187e+20 approximant=1.2290184470800707e+20 limit_value=inf limit_tag=diverges",
+    ),
+    "classify": (
+        "--context", "set_gap",
+        "op=classify context=set_gap r=0.75 regime=above_critical critical_value=0.70710678118654757",
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(ASYMPTOTICS_LINES))
+def test_asymptotics_stdout_exact(op, capsys):
+    # frozen output of every op at one (r, theta or n, d-grid): the bytes are
+    # the interface, so a refactor of the runner must reproduce them exactly
+    flag, value, *lines = ASYMPTOTICS_LINES[op]
+    assert main(["asymptotics", "--op", op, "--r", "0.75", flag, value,
+                 "--d", "3,40:120:80"]) == EXIT_OK
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "d_text, d_values, r_text, r_values",
+    [
+        ("1:10:3", (1, 4, 7, 10), "0:1:0.3", (0.0, 0.3, 0.6, 0.9)),
+        ("4,2:8:2, 9", (4, 2, 4, 6, 8, 9),
+         "0.05:0.95:0.15", (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)),
+        ("7:7:5,-3:3:2", (7, -3, -1, 1, 3),
+         "0.9,0:0.5:0.1,0.25", (0.9, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.25)),
+        ("100", (100,), "0.1:0.1:1,1e-3:3e-3:1e-3", (0.1, 0.001, 0.002, 0.003)),
+        ("1_0", (10,), "0:3:1,1:2:0.7", (0.0, 1.0, 2.0, 3.0, 1.0, 1.7)),
+    ],
+)
+def test_grid_parser_tuples(d_text, d_values, r_text, r_values):
+    opts = parse_args(["bounds", "--id", "p1_linear_lb", "--d", d_text, "--r", r_text]).options
+    assert opts["d_values"] == d_values
+    assert opts["r_values"] == r_values
+    assert all(type(d) is int for d in opts["d_values"])
+    assert all(type(r) is float for r in opts["r_values"])

@@ -11,8 +11,6 @@ from layersep.experiments import (
     ExperimentPlan,
     frequency_interval,
     run_experiment,
-    run_point_level,
-    run_set_level,
 )
 from layersep.geometry import LayerSpec, sample_layer
 
@@ -107,20 +105,13 @@ def test_plan_validation():
     assert canonical.check_kinds == CHECK_KINDS
 
 
-def test_mode_dispatch_guards():
-    with pytest.raises(DomainError):
-        run_set_level(base_plan())
-    with pytest.raises(DomainError):
-        run_point_level(base_plan(mode="set_level"))
-
-
 # ---------------------------------------------------------------------------
 # point-level runs
 
 
 def test_point_level_high_dimension_always_separable():
     plan = base_plan(d_values=(30,), r_values=(0.5,), n=100, trials=50)
-    (record,) = run_point_level(plan)
+    (record,) = run_experiment(plan)
     assert record.freq_linear == 1.0
     assert record.bound_linear == 1.0 - 100.0 / 2.0**30
     assert record.freq_linear >= record.bound_linear - half_width(record.ci_linear)
@@ -131,7 +122,7 @@ def test_point_level_one_dimensional():
     # On a segment the query point must be an extreme of the combined sample;
     # with 50 cloud points that is rare but not impossible.
     plan = base_plan(d_values=(1,), r_values=(0.0,), n=50, trials=50)
-    (record,) = run_point_level(plan)
+    (record,) = run_experiment(plan)
     assert record.bound_linear == 0.0  # 1 - 50/2 clamps
     assert record.freq_fisher <= record.freq_linear <= 0.2
     assert record.freq_linear >= record.bound_linear - half_width(record.ci_linear)
@@ -139,7 +130,7 @@ def test_point_level_one_dimensional():
 
 def test_point_level_dominance_accounting_and_brackets():
     plan = base_plan(trials=30)
-    records = run_point_level(plan)
+    records = run_experiment(plan)
     assert len(records) == 4  # 2 dims x 2 radii
     for record in records:
         assert record.freq_fisher <= record.freq_linear
@@ -156,7 +147,7 @@ def test_point_level_dominance_accounting_and_brackets():
 
 def test_set_level_high_dimension_all_vertices():
     plan = base_plan(mode="set_level", d_values=(40,), r_values=(0.0,), n=1000, trials=30)
-    (record,) = run_set_level(plan)
+    (record,) = run_experiment(plan)
     assert record.freq_linear == 1.0
     assert record.bound_linear == 1.0 - 1000.0 * 999.0 / 2.0**40
     assert record.freq_linear >= record.bound_linear - half_width(record.ci_linear)
@@ -164,7 +155,7 @@ def test_set_level_high_dimension_all_vertices():
 
 def test_set_level_plane_never_all_vertices():
     plan = base_plan(mode="set_level", d_values=(2,), r_values=(0.0,), n=1000, trials=30)
-    (record,) = run_set_level(plan)
+    (record,) = run_experiment(plan)
     assert record.freq_linear == 0.0
     assert record.freq_fisher == 0.0
     assert record.lp_calls + record.lp_skipped_by_fisher >= plan.trials

@@ -326,6 +326,17 @@ def test_lp_tol_validation():
         linearly_separable_point(0, cloud, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_lp_rejects_non_finite_tol(tol):
+    # a NaN or infinite tol once turned this separable point into a silent
+    # "not_separable" verdict with margin 4.38
+    x = np.array([5.0, 0.0, 0.0])
+    others = sample_layer(LayerSpec(d=3, r=0.5), 6, 1).points
+    assert lp_point_vs_set(x, others, tol=1e-9).separable
+    with pytest.raises(DomainError):
+        lp_point_vs_set(x, others, tol=tol)
+
+
 def test_lp_matches_exact_oracle_near_layer():
     # query point vs a tight shell cloud: verdict must match the oracle
     rng_cloud = sample_layer(LayerSpec(d=2, r=0.95), 50, seed=2024)
