@@ -7,6 +7,8 @@ table) can tell bad inputs apart from solver trouble.
 
 import math
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """A parameter lies outside the mathematical domain of the operation."""
@@ -55,3 +57,22 @@ def check_real(value, name: str, low: float, high: float, low_closed: bool = Fal
             f"{name} must lie in {'[' if low_closed else '('}{low}, {high}), got {value!r}"
         )
     return number
+
+
+def check_point_set(x, others) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``others`` as float64 arrays: a point and a finite set of points
+    in its dimension, so x is 1-d and others is 2-d with ``len(x)`` columns.
+
+    Anything else, or values that are not numbers, raises DomainError.
+    """
+    try:
+        x = np.asarray(x, dtype=np.float64)
+        others = np.asarray(others, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"a point and a set of points must be numeric arrays: {exc}") from None
+    if x.ndim != 1 or others.ndim != 2 or others.shape[1] != x.shape[0]:
+        raise DomainError(
+            "need a point of shape (d,) and a set of shape (k, d), "
+            f"got {x.shape} and {others.shape}"
+        )
+    return x, others

@@ -1,9 +1,30 @@
-"""Exact rational hull-membership oracle for small instances.
+"""Exact hull-membership oracle for small instances, in integer arithmetic.
 
-Decides ``X in conv(M)`` with no floating-point tolerance at all: floats are
-promoted to dyadic rationals exactly, and X is in the hull iff some subset of
-at most d+1 points of M contains it in its convex hull (Caratheodory), each
-subset settled by solving the barycentric linear system in exact arithmetic.
+Decides ``X in conv(M)`` with no floating-point tolerance at all.  X is in the
+hull iff some subset of at most d+1 points of M contains it in its convex hull
+(Caratheodory), and each subset is settled by solving its barycentric linear
+system exactly.
+
+The system is solved on integers.  Every finite float is an integer of at
+most 53 bits times a power of two, ``v = m * 2**(e - 53)`` with ``(m, e)`` as
+``math.frexp`` gives them and m scaled by ``2**53``.  So one common factor
+``2**s`` with ``s = max(53 - e)`` over the nonzero coordinates of X and M
+makes every coordinate an exact Python int, with no float rounding or overflow
+on the way, and the smallest of them is no wider than 53 bits.  Only the d
+coordinate equations are scaled, on both sides, so the solution is unchanged
+and the affine row ``sum(lam) = 1`` stays all ones.
+
+Each subset's (d+1) x (k+1) integer system is reduced by fraction-free Gaussian
+elimination (Bareiss 1968): step t replaces every entry below and to the right
+of the pivot ``a_tt`` by ``(a_tt a_ij - a_it a_tj) / p``, with p the previous
+pivot.  By Sylvester's determinant identity each result is a (t+1) x (t+1)
+minor of the row-permuted input, an integer, so every division is exact and
+the numbers stay as large as a determinant, not as a product of them.  The
+last pivot is the determinant ``den`` of the k x k system, so by Cramer's rule
+``num_j = den * lam_j`` are integers too, and a fraction-free back
+substitution finds them with exact divisions.  The consistency and sign tests
+are integer comparisons, and each coefficient is one int true division,
+``num_j / den``, which Python rounds correctly.
 
 The subset count grows combinatorially, so instances are guarded (guideline
 n <= 64, d <= 6; the hard cap is on the enumeration size).  This module is
@@ -13,15 +34,14 @@ code with it.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
-from .errors import EnumerationLimitError, check_int
+from .errors import DomainError, EnumerationLimitError, check_int, check_point_set
 from .geometry import PointCloud
-from .separability import SeparabilityCertificate, _others
+from .separability import SeparabilityCertificate, others_of
 
 __all__ = ["exact_oracle_point", "exact_point_vs_set", "MAX_SUBSETS"]
 
@@ -30,28 +50,34 @@ MAX_SUBSETS = 2_000_000
 
 
 def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> SeparabilityCertificate:
-    """Exact hull membership of ``x`` in ``conv(others)`` by enumeration."""
-    others = np.asarray(others, dtype=np.float64)
-    m = len(others)
-    d = len(x)
+    """Exact hull membership of ``x`` in ``conv(others)`` by enumeration.
+
+    Raises DomainError unless x is a finite point of shape (d,) and others a
+    finite set of shape (k, d), and EnumerationLimitError when the subsets to
+    enumerate exceed ``max_subsets``.
+    """
+    x, others = check_point_set(x, others)
+    if not (np.isfinite(x).all() and np.isfinite(others).all()):
+        raise DomainError("the exact oracle needs finite coordinates")
+    m, d = others.shape
     if m == 0:
         return SeparabilityCertificate("separable", "exact_oracle", 0.0)
     k_max = min(d + 1, m)
-    total = sum(comb(m, k) for k in range(1, k_max + 1))
+    total = sum(math.comb(m, k) for k in range(1, k_max + 1))
     if total > max_subsets:
         raise EnumerationLimitError(
             f"enumeration of {total} subsets exceeds the guard ({max_subsets}); "
             f"instance m={m}, d={d} is too large for the exact oracle"
         )
-    target = [Fraction(float(v)) for v in x]
-    rows = [[Fraction(float(v)) for v in row] for row in others]
+    target, *points = _scaled_to_integers([x.tolist(), *others.tolist()])
     for k in range(1, k_max + 1):
         for subset in combinations(range(m), k):
-            lam = _barycentric_if_inside(target, [rows[j] for j in subset], d)
-            if lam is not None:
+            solution = _barycentric_if_inside(target, [points[j] for j in subset])
+            if solution is not None:
+                nums, den = solution
                 coeffs = np.zeros(m)
-                for j, value in zip(subset, lam):
-                    coeffs[j] = float(value)
+                for j, num in zip(subset, nums):
+                    coeffs[j] = num / den
                 return SeparabilityCertificate(
                     "not_separable", "exact_oracle", 0.0, coefficients=coeffs
                 )
@@ -61,43 +87,60 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
 def exact_oracle_point(i: int, cloud: PointCloud, max_subsets: int = MAX_SUBSETS) -> SeparabilityCertificate:
     """Exact verdict for point i of a cloud versus all the others."""
     i = check_int(i, "point index", 0, cloud.n)
-    return exact_point_vs_set(cloud.points[i], _others(cloud.points, i), max_subsets)
+    return exact_point_vs_set(cloud.points[i], others_of(cloud.points, i), max_subsets)
 
 
-def _barycentric_if_inside(target, subset_rows, d):
+def _scaled_to_integers(rows):
+    """Finite float rows times one common power of two, as exact ints."""
+    # v = m * 2**(e - 53) with frexp's m scaled to an integer below 2**53, so
+    # v * 2**s is that integer shifted left by s + e - 53 >= 0
+    parts = [[math.frexp(v) for v in row] for row in rows]
+    s = max((53 - e for row in parts for m, e in row if m), default=0)
+    return [[int(math.ldexp(m, 53)) << (s + e - 53) if m else 0 for m, e in row] for row in parts]
+
+
+def _barycentric_if_inside(target, columns):
     """Solve sum(lam_j y_j) = target, sum(lam_j) = 1 exactly; require lam >= 0.
 
-    Returns the coefficient list when the (d+1) x k system is consistent with
-    a unique nonnegative solution, else None.  Rank-deficient subsets return
-    None: by Caratheodory any hull membership is witnessed by some affinely
-    independent subset, which an earlier (smaller) enumeration size covers.
+    ``target`` and each column are the integer coordinates of x and of the
+    subset's points.  Returns ``(nums, den)`` with den > 0 and lam_j =
+    nums[j] / den when the (d+1) x k system is consistent with a unique
+    nonnegative solution, else None.  Rank-deficient subsets return None: by
+    Caratheodory any hull membership is witnessed by some affinely independent
+    subset, which an earlier (smaller) enumeration size covers.
     """
-    k = len(subset_rows)
+    k = len(columns)
     # augmented matrix: d coordinate equations plus the affine row of ones
-    M = [[subset_rows[j][row] for j in range(k)] + [target[row]] for row in range(d)]
-    M.append([Fraction(1)] * k + [Fraction(1)])
-    n_rows = d + 1
-
-    rank_col = []
-    r = 0
-    for col in range(k):
-        pivot_row = next((i for i in range(r, n_rows) if M[i][col] != 0), None)
+    pending = [[col[row] for col in columns] + [value] for row, value in enumerate(target)]
+    pending.append([1] * (k + 1))
+    # pending rows hold the columns t..k not yet eliminated; eliminated rows
+    # keep their pivot and the entries to its right, for the back substitution
+    eliminated = []
+    previous = 1
+    for _ in range(k):
+        pivot_row = next((i for i, row in enumerate(pending) if row[0]), None)
         if pivot_row is None:
             return None  # affinely dependent subset
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        pivot = M[r][col]
-        M[r] = [v / pivot for v in M[r]]
-        for i in range(n_rows):
-            if i != r and M[i][col] != 0:
-                factor = M[i][col]
-                M[i] = [a - factor * b for a, b in zip(M[i], M[r])]
-        rank_col.append(col)
-        r += 1
-    # consistency of the remaining equations
-    for i in range(r, n_rows):
-        if M[i][k] != 0:
-            return None
-    lam = [M[row][k] for row in range(k)]
-    if any(v < 0 for v in lam):
+        pending[0], pending[pivot_row] = pending[pivot_row], pending[0]
+        top, *rest = pending
+        pivot, tail = top[0], top[1:]
+        pending = [
+            [(pivot * a - row[0] * b) // previous for a, b in zip(row[1:], tail)]
+            for row in rest
+        ]
+        eliminated.append(top)
+        previous = pivot
+    # consistency of the remaining equations: only their right-hand side is left
+    if any(row[0] for row in pending):
         return None
-    return lam
+    den = previous
+    nums = []  # num_j = den * lam_j, from the last row up
+    for top in reversed(eliminated):
+        rhs = den * top[-1] - sum(a * num for a, num in zip(top[1:-1], reversed(nums)))
+        nums.append(rhs // top[0])
+    nums.reverse()
+    if den < 0:  # a positive denominator keeps the signs of lam, and 0 / den at +0.0
+        den, nums = -den, [-num for num in nums]
+    if any(num < 0 for num in nums):
+        return None
+    return nums, den

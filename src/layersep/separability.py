@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LPStallError, check_int, check_real
+from .errors import LPStallError, check_int, check_point_set, check_real
 from .geometry import PointCloud
 from .lp import solve_standard_form
 
@@ -42,6 +42,7 @@ __all__ = [
     "linearly_separable_set",
     "fisher_point_vs_set",
     "lp_point_vs_set",
+    "others_of",
     "verify_certificate",
 ]
 
@@ -111,7 +112,8 @@ class SetReport:
         )
 
 
-def _others(points: np.ndarray, i: int) -> np.ndarray:
+def others_of(points: np.ndarray, i: int) -> np.ndarray:
+    """The rows of ``points`` other than row i, in order: the set point i is checked against."""
     return np.delete(points, i, axis=0)
 
 
@@ -167,7 +169,7 @@ def fisher_margins(points: np.ndarray, stop_at_failure: bool = False) -> np.ndar
         row_max = np.maximum(gram.max(axis=1), col_max[start:stop])
         np.subtract(self_dots[start:stop], row_max, out=block)
         for i in np.flatnonzero(np.abs(block) <= tie_band[start:stop]):
-            block[i] = _point_margin(points[start + i], _others(points, start + i))
+            block[i] = _point_margin(points[start + i], others_of(points, start + i))
         if stop_at_failure and not np.all(block > 0.0):
             return margins[:stop]
     return margins
@@ -175,16 +177,17 @@ def fisher_margins(points: np.ndarray, stop_at_failure: bool = False) -> np.ndar
 
 def fisher_point_vs_set(x: np.ndarray, others: np.ndarray) -> SeparabilityCertificate:
     """Fisher-separate an arbitrary point from an arbitrary finite set."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x, others = check_point_set(x, others)
+    x = np.ascontiguousarray(x)
     if len(others) == 0:
         return _fisher_certificate(x, float("inf"))
-    return _fisher_certificate(x, _point_margin(x, np.ascontiguousarray(others, dtype=np.float64)))
+    return _fisher_certificate(x, _point_margin(x, np.ascontiguousarray(others)))
 
 
 def fisher_separable_point(i: int, cloud: PointCloud) -> SeparabilityCertificate:
     """Is point i Fisher-separable from the rest of the cloud?"""
     i = check_int(i, "point index", 0, cloud.n)
-    return fisher_point_vs_set(cloud.points[i], _others(cloud.points, i))
+    return fisher_point_vs_set(cloud.points[i], others_of(cloud.points, i))
 
 
 def fisher_separable_set(cloud: PointCloud, verdict_only: bool = False) -> SetReport:
@@ -214,11 +217,9 @@ def lp_point_vs_set(
     Raises LPStallError if the simplex stalls, or if the normal it yields does
     not strictly separate (diagnostic, not a verdict).
     """
-    x = np.asarray(x, dtype=np.float64)
-    others = np.asarray(others, dtype=np.float64)
+    x, others = check_point_set(x, others)
     tol = check_real(tol, "tol", 0.0, np.inf)
-    d = x.shape[0]
-    k = others.shape[0]
+    k, d = others.shape
     if k == 0:
         return SeparabilityCertificate(
             "separable", "lp", float("inf"), hyperplane=x.copy()
@@ -274,7 +275,7 @@ def linearly_separable_point(
 ) -> SeparabilityCertificate:
     """Is point i outside the convex hull of the rest of the cloud?"""
     i = check_int(i, "point index", 0, cloud.n)
-    return lp_point_vs_set(cloud.points[i], _others(cloud.points, i), tol)
+    return lp_point_vs_set(cloud.points[i], others_of(cloud.points, i), tol)
 
 
 def linearly_separable_set(
@@ -292,7 +293,7 @@ def linearly_separable_set(
     lp_certificates: dict[int, SeparabilityCertificate] = {}
     first_failure = None
     for i in np.flatnonzero(margins <= 0.0).tolist():
-        cert = lp_point_vs_set(pts[i], _others(pts, i), tol)
+        cert = lp_point_vs_set(pts[i], others_of(pts, i), tol)
         lp_certificates[i] = cert
         if not cert.separable and first_failure is None:
             first_failure = i

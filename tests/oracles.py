@@ -9,6 +9,7 @@ these.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -167,6 +168,57 @@ def exact_combination_residual(x, others, coeffs):
     l2sq = sum(v * v for v in resid)
     csum = sum(cf)
     return float(l2sq) ** 0.5, abs(float(csum - 1))
+
+
+def fraction_hull_oracle(x, others):
+    """Hull membership of x in conv(others) by Caratheodory enumeration, in Fraction.
+
+    Every subset of at most d+1 points, smallest first and in lexicographic
+    order, gets its barycentric system solved by Gauss-Jordan elimination over
+    the rationals; the first subset with a unique nonnegative solution proves
+    membership.  Returns ("not_separable", coefficients as floats aligned with
+    others) or ("separable", None).
+    """
+    d = len(x)
+    m = len(others)
+    target = [Fraction(float(v)) for v in x]
+    rows = [[Fraction(float(v)) for v in row] for row in others]
+    for k in range(1, min(d + 1, m) + 1):
+        for subset in itertools.combinations(range(m), k):
+            lam = _fraction_barycentric(target, [rows[j] for j in subset], d)
+            if lam is not None:
+                coeffs = np.zeros(m)
+                for j, value in zip(subset, lam):
+                    coeffs[j] = float(value)
+                return "not_separable", coeffs
+    return "separable", None
+
+
+def _fraction_barycentric(target, subset_rows, d):
+    """The unique nonnegative solution of sum(lam_j y_j) = target, sum(lam_j) = 1, or None."""
+    k = len(subset_rows)
+    M = [[subset_rows[j][row] for j in range(k)] + [target[row]] for row in range(d)]
+    M.append([Fraction(1)] * k + [Fraction(1)])
+    n_rows = d + 1
+    r = 0
+    for col in range(k):
+        pivot_row = next((i for i in range(r, n_rows) if M[i][col] != 0), None)
+        if pivot_row is None:
+            return None  # affinely dependent subset
+        M[r], M[pivot_row] = M[pivot_row], M[r]
+        pivot = M[r][col]
+        M[r] = [v / pivot for v in M[r]]
+        for i in range(n_rows):
+            if i != r and M[i][col] != 0:
+                factor = M[i][col]
+                M[i] = [a - factor * b for a, b in zip(M[i], M[r])]
+        r += 1
+    if any(M[i][k] != 0 for i in range(r, n_rows)):
+        return None  # inconsistent
+    lam = [M[row][k] for row in range(k)]
+    if any(v < 0 for v in lam):
+        return None
+    return lam
 
 
 # ---------------------------------------------------------------------------

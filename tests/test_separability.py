@@ -435,6 +435,93 @@ def test_exact_oracle_vertex_of_simplex_separable():
     assert cert.verdict == "separable"
 
 
+def exact_oracle_instances():
+    """(x, others, exact): hull queries for the integer oracle, with ``exact``
+    set where every barycentric coefficient is a float, so the certificate
+    rebuilds x with no rounding at all."""
+    # shaped like criterion 2: d 1-4, k 1-12, r 0 or 0.5, every fifth query a cloud point
+    rng = np.random.default_rng(53)
+    for i in range(40):
+        d, k = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        r = float(rng.choice((0.0, 0.5)))
+        pts = sample_layer(LayerSpec(d=d, r=r), k + 1, seed=int(rng.integers(2**63))).points
+        x, others = pts[-1], pts[:-1]
+        if i % 5 == 0:
+            x = others[int(rng.integers(k))].copy()
+        yield x, others, False
+    line = [[0.0, 0.0], [0.25, 0.25], [0.5, 0.5], [1.0, 1.0]]  # collinear
+    yield [0.75, 0.75], line, True
+    yield [0.75, 0.5], line, True
+    yield [1.5, 1.5], line, True
+    triangle = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    yield [0.5, 0.0], triangle, True  # on an edge
+    yield [0.25, 0.75], triangle, True  # on the opposite edge
+    yield [0.0, 1.0], triangle, True  # a vertex
+    yield [0.5, 0.5, 0.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], True  # face plane, 3-d
+    twins = [[0.25, 0.75], [0.25, 0.75], [0.75, 0.25], [0.75, 0.25], [0.0, 0.0]]  # repeated points
+    yield [0.5, 0.5], twins, True
+    yield [0.25, 0.75], twins, True
+    yield [1.0, 1.0], twins, True
+    # tiny, subnormal and huge coordinates, and a range of exponents wider than a float's
+    yield [1e-300, 5e-324], [[0.0, 0.0], [2e-300, 0.0], [0.0, 1e-323]], True
+    yield [5e-324], [[0.0], [1e-323]], True
+    yield [1e300, 1e300], [[0.0, 0.0], [4e300, 0.0], [0.0, 4e300]], True
+    yield [1e300, 5e-324], [[0.0, 0.0], [2e300, 0.0], [0.0, 1e-323]], True
+
+
+def test_exact_oracle_matches_fraction_reference():
+    # verdicts and float coefficients bit-identical to Gauss-Jordan elimination
+    # in Fraction, signed zeros included
+    verdicts = set()
+    for x, others, exact in exact_oracle_instances():
+        x, others = np.asarray(x, dtype=np.float64), np.asarray(others, dtype=np.float64)
+        cert = exact_point_vs_set(x, others)
+        verdict, coefficients = oracles.fraction_hull_oracle(x, others)
+        assert cert.verdict == verdict, (x, others)
+        verdicts.add(verdict)
+        if coefficients is None:
+            assert cert.coefficients is None
+            continue
+        assert cert.coefficients.tobytes() == coefficients.tobytes(), (x, others)
+        # each coefficient is lam_j rounded once (relative error <= 2**-53) and
+        # they sum to 1, which bounds the rational residual of the rebuilt x
+        l2, affine_gap = oracles.exact_combination_residual(x, others, cert.coefficients)
+        if exact:
+            assert l2 == 0.0 and affine_gap == 0.0, (x, others)
+        else:
+            assert l2 <= 2.0**-52 * math.sqrt(len(x)) * np.abs(others).max()
+            assert affine_gap <= 2.0**-52
+    assert verdicts == {"separable", "not_separable"}
+
+
+MALFORMED_PAIRS = {
+    "set_wider_than_point": ([0.5, 0.0], [[0.0, 0.0, 5.0], [1.0, 0.0, -5.0]]),
+    "set_narrower_than_point": ([0.5, 0.0, 0.0], [[0.0, 0.0], [1.0, 0.0]]),
+    "one_column_set": ([0.5, 0.0], [[0.3], [0.1]]),
+    "flat_set": ([0.5, 0.0], [0.0, 1.0]),
+    "ragged_set": ([0.5, 0.0], [[0.0, 0.0], [1.0]]),
+    "matrix_point": ([[0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),
+    "scalar_point": (0.5, [[0.0], [1.0]]),
+}
+POINT_VS_SET = {"fisher": fisher_point_vs_set, "lp": lp_point_vs_set, "exact": exact_point_vs_set}
+
+
+@pytest.mark.parametrize("check", POINT_VS_SET)
+@pytest.mark.parametrize("pair", MALFORMED_PAIRS)
+def test_malformed_point_set_pairs_raise_domain_error(check, pair):
+    x, others = MALFORMED_PAIRS[pair]
+    with pytest.raises(DomainError):
+        POINT_VS_SET[check](x, others)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_oracle_rejects_non_finite_coordinates(bad):
+    with pytest.raises(DomainError):
+        exact_point_vs_set([bad, 0.0], [[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(DomainError):
+        exact_point_vs_set([0.5, 0.0], [[0.0, bad], [1.0, 0.0]])
+
+
 def hull_instances():
     rng = np.random.default_rng(41)
     for d in (2, 3, 5, 8, 12):

@@ -46,3 +46,33 @@ def test_integer_checks_only_in_the_validator():
         if _is_hand_written_int_check(node)
     ]
     assert not found, f"integer checks outside {VALIDATOR_MODULE}: {found}"
+
+
+def _top_level_names(tree) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_exact_oracle_shares_no_code_with_the_lp():
+    # the exact oracle is the ground truth the LP verdicts are checked against:
+    # code the two shared could be wrong on both sides and still agree
+    lp_names = _top_level_names(ast.parse((PACKAGE / "lp.py").read_text()))
+    assert "solve_standard_form" in lp_names
+    path = PACKAGE / "exact.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[-1] == "lp"]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "lp":
+                found.append(f"from {'.' * node.level}{node.module} import ...")
+            found += [alias.name for alias in node.names
+                      if alias.name == "lp" or alias.name in lp_names]
+    assert not found, f"exact.py imports from the LP: {found}"
