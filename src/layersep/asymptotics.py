@@ -21,14 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import (
-    BoundQuery,
-    _eq1_n_fisher,
-    _exp_or_inf,
-    _log_r,
-    _n_fisher,
-    log_one_minus_r_sq,
-)
+from .bounds import exp_or_inf, log_one_minus_r_sq, log_r, n_admissible
 from .errors import DomainError, check_int, check_real
 
 __all__ = [
@@ -135,13 +128,13 @@ def eq1_asymptotic(r: float, theta: float, d: int) -> AsymptoticValue:
     d = check_int(d, "d", 1)
     regime = classify_radius(r, "fisher_count")
     if regime.regime == ABOVE:
-        log_value = math.log(theta) - d * _log_r(r)
+        log_value = math.log(theta) - d * log_r(r)
     elif regime.regime == AT:
         # sqrt(1 + 2 theta) - 1 in its conjugate form; no cancellation at small theta.
-        log_value = math.log(2.0 * theta / (math.sqrt(1.0 + 2.0 * theta) + 1.0)) - d * _log_r(r)
+        log_value = math.log(2.0 * theta / (math.sqrt(1.0 + 2.0 * theta) + 1.0)) - d * log_r(r)
     else:
         log_value = 0.5 * math.log(2.0 * theta) - 0.25 * d * log_one_minus_r_sq(r)
-    return AsymptoticValue(value=_exp_or_inf(log_value), log_value=log_value, regime=regime)
+    return AsymptoticValue(value=exp_or_inf(log_value), log_value=log_value, regime=regime)
 
 
 def fisher_ratio_f_over_g(r: float, theta: float, d: int) -> RatioLaw:
@@ -155,9 +148,8 @@ def fisher_ratio_f_over_g(r: float, theta: float, d: int) -> RatioLaw:
     r, theta = check_real(r, "r", 0.0, 1.0), check_real(theta, "theta", 0.0, 1.0)
     d = check_int(d, "d", 1)
     regime = classify_radius(r, "fisher_count")
-    q = BoundQuery(d=d, r=r, theta=theta)
-    log_f = _n_fisher(q).log_raw
-    log_g = _eq1_n_fisher(q).log_raw
+    log_f = n_admissible("n_fisher", d=d, r=r, theta=theta).log_raw
+    log_g = n_admissible("eq1_n_fisher", d=d, r=r, theta=theta).log_raw
     log_exact = log_f - log_g
     if regime.regime == ABOVE:
         limit_value, limit_tag = math.inf, "diverges"
@@ -170,9 +162,9 @@ def fisher_ratio_f_over_g(r: float, theta: float, d: int) -> RatioLaw:
         limit_value, limit_tag = 1.0 / math.sqrt(2.0), "converges"
         log_approx = -0.5 * math.log(2.0)
     return RatioLaw(
-        exact=_exp_or_inf(log_exact),
+        exact=exp_or_inf(log_exact),
         log_exact=log_exact,
-        approximant=_exp_or_inf(log_approx),
+        approximant=exp_or_inf(log_approx),
         log_approximant=log_approx,
         limit_value=limit_value,
         limit_tag=limit_tag,
@@ -193,7 +185,7 @@ def layer_count_ratio(r: float, theta: float, d: int) -> RatioLaw:
     d = check_int(d, "d", 1)
     regime = classify_radius(r, "count_ratio")
     log_f = 0.5 * (math.log(theta) + d * math.log(2.0))
-    log_g = _n_fisher(BoundQuery(d=d, r=r, theta=theta)).log_raw
+    log_g = n_admissible("n_fisher", d=d, r=r, theta=theta).log_raw
     log_exact = log_f - log_g
     log_identity = 0.5 * d * (math.log(2.0) + 0.5 * log_one_minus_r_sq(r))
     # Identity check at 1e-12, widened only by float addition noise when the
@@ -210,9 +202,9 @@ def layer_count_ratio(r: float, theta: float, d: int) -> RatioLaw:
     else:
         limit_value, limit_tag = math.inf, "diverges"
     return RatioLaw(
-        exact=_exp_or_inf(log_exact),
+        exact=exp_or_inf(log_exact),
         log_exact=log_exact,
-        approximant=_exp_or_inf(log_identity),
+        approximant=exp_or_inf(log_identity),
         log_approximant=log_identity,
         limit_value=limit_value,
         limit_tag=limit_tag,
@@ -228,7 +220,7 @@ def fisher_gap_exact(d: int, r: float, n: int) -> tuple[float, float]:
     bound would round to exactly 1.
     """
     d, r, n = check_int(d, "d", 1), check_real(r, "r", 0.0, 1.0), check_int(n, "n", 1)
-    rd = math.exp(d * _log_r(r))
+    rd = math.exp(d * log_r(r))
     half_width = 0.5 * math.exp(0.5 * d * log_one_minus_r_sq(r))
     crowding = (n - 1) * half_width
     if crowding >= 1.0:
@@ -252,7 +244,7 @@ def fisher_gap_asymptotic(r: float, n: int, d: int) -> AsymptoticValue:
     r, n, d = check_real(r, "r", 0.0, 1.0), check_int(n, "n", 1), check_int(d, "d", 1)
     regime = classify_radius(r, "set_gap")
     if regime.regime == ABOVE:
-        log_value = math.log(n) + d * _log_r(r)
+        log_value = math.log(n) + d * log_r(r)
     elif regime.regime == AT:
         log_value = math.log(0.5 * n * (n + 1)) - 0.5 * d * math.log(2.0)
     else:
@@ -260,7 +252,7 @@ def fisher_gap_asymptotic(r: float, n: int, d: int) -> AsymptoticValue:
         if pair_count == 0.0:
             return AsymptoticValue(value=0.0, log_value=-math.inf, regime=regime)
         log_value = math.log(pair_count) + 0.5 * d * log_one_minus_r_sq(r)
-    return AsymptoticValue(value=_exp_or_inf(log_value), log_value=log_value, regime=regime)
+    return AsymptoticValue(value=exp_or_inf(log_value), log_value=log_value, regime=regime)
 
 
 def gap_ratio_linear_vs_fisher(r: float, n: int, d: int) -> RatioLaw:
@@ -276,15 +268,15 @@ def gap_ratio_linear_vs_fisher(r: float, n: int, d: int) -> RatioLaw:
     log_linear_gap = math.log(n) + math.log(n - 1.0) - d * math.log(2.0)
     log_exact = log_gap - log_linear_gap
     if regime.regime == ABOVE:
-        log_approx = d * (math.log(2.0) + _log_r(r)) - math.log(n - 1.0)
+        log_approx = d * (math.log(2.0) + log_r(r)) - math.log(n - 1.0)
     elif regime.regime == AT:
         log_approx = 0.5 * d * math.log(2.0) + math.log((n + 1.0) / (2.0 * (n - 1.0)))
     else:
         log_approx = 0.5 * d * (2.0 * math.log(2.0) + log_one_minus_r_sq(r)) - math.log(2.0)
     return RatioLaw(
-        exact=_exp_or_inf(log_exact),
+        exact=exp_or_inf(log_exact),
         log_exact=log_exact,
-        approximant=_exp_or_inf(log_approx),
+        approximant=exp_or_inf(log_approx),
         log_approximant=log_approx,
         limit_value=math.inf,
         limit_tag="diverges",

@@ -111,14 +111,14 @@ class BoundResult:
     note: str = ""
 
 
-def _exp_or_inf(a: float) -> float:
+def exp_or_inf(a: float) -> float:
     try:
         return math.exp(a)
     except OverflowError:
         return math.inf
 
 
-def _log_r(r: float) -> float:
+def log_r(r: float) -> float:
     """log r, keeping full relative accuracy as r -> 1: log1p(r - 1) with the
     subtraction exact for r >= 0.5.  Below 0.5 plain log is well conditioned
     (and r - 1.0 could round to -1.0 for denormal-small r)."""
@@ -137,7 +137,7 @@ def _one_minus_r_pow_d(r: float, d: int) -> float:
     """1 - r^d without cancellation as r -> 1."""
     if r == 0.0:
         return 1.0
-    return -math.expm1(d * _log_r(r))
+    return -math.expm1(d * log_r(r))
 
 
 def _strictly_below(threshold: float) -> int | None:
@@ -233,7 +233,7 @@ def p_fisher_lb(q: BoundQuery) -> BoundResult:
         raw = 0.0
     else:
         sign = 1.0 if q.n % 2 == 0 else -1.0
-        raw = sign * _exp_or_inf(q.n * math.log(-base))
+        raw = sign * exp_or_inf(q.n * math.log(-base))
     return BoundResult(
         bound_id="p_fisher_lb",
         value=0.0,
@@ -273,12 +273,12 @@ def _eq1_n_fisher(q: BoundQuery) -> BoundResult:
             domain_status=STATUS_UNDEFINED,
             note="threshold divides by r; no finite value at r = 0",
         )
-    log_r = _log_r(q.r)
-    log_s = 0.5 * log_one_minus_r_sq(q.r) - 2.0 * log_r
+    log_radius = log_r(q.r)
+    log_s = 0.5 * log_one_minus_r_sq(q.r) - 2.0 * log_radius
     log_numer = math.log(2.0 * theta)
     log_denom_tail = _log_sqrt_one_plus_exp(log_numer + q.d * log_s)
-    log_raw = log_numer - q.d * log_r - log_denom_tail
-    raw = _exp_or_inf(log_raw)
+    log_raw = log_numer - q.d * log_radius - log_denom_tail
+    raw = exp_or_inf(log_raw)
     return BoundResult(
         bound_id="eq1_n_fisher",
         value=raw,
@@ -292,7 +292,7 @@ def _eq1_n_fisher(q: BoundQuery) -> BoundResult:
 def _n1_fisher(q: BoundQuery) -> BoundResult:
     """Count threshold n < theta / (1 - r^2)^(d/2)."""
     theta = q._require_theta()
-    raw = theta * _exp_or_inf(-0.5 * q.d * log_one_minus_r_sq(q.r))
+    raw = theta * exp_or_inf(-0.5 * q.d * log_one_minus_r_sq(q.r))
     return BoundResult(
         bound_id="n1_fisher",
         value=raw,
@@ -306,7 +306,7 @@ def _n1_fisher(q: BoundQuery) -> BoundResult:
 def _n_fisher(q: BoundQuery) -> BoundResult:
     """Count threshold n < sqrt(theta) / (1 - r^2)^(d/4)."""
     theta = q._require_theta()
-    raw = math.sqrt(theta) * _exp_or_inf(-0.25 * q.d * log_one_minus_r_sq(q.r))
+    raw = math.sqrt(theta) * exp_or_inf(-0.25 * q.d * log_one_minus_r_sq(q.r))
     return BoundResult(
         bound_id="n_fisher",
         value=raw,
@@ -342,7 +342,7 @@ def _n_linear(q: BoundQuery) -> BoundResult:
     try:
         raw = math.sqrt(math.ldexp(theta, q.d))
     except OverflowError:
-        raw = _exp_or_inf(log_raw)
+        raw = exp_or_inf(log_raw)
     return BoundResult(
         bound_id="n_linear",
         value=raw,

@@ -63,7 +63,8 @@ def check_point_set(x, others) -> tuple[np.ndarray, np.ndarray]:
     """``x`` and ``others`` as float64 arrays: a point and a finite set of points
     in its dimension, so x is 1-d and others is 2-d with ``len(x)`` columns.
 
-    Anything else, or values that are not numbers, raises DomainError.
+    Anything else, values that are not numbers, and NaN or infinite
+    coordinates raise DomainError.
     """
     try:
         x = np.asarray(x, dtype=np.float64)
@@ -75,4 +76,6 @@ def check_point_set(x, others) -> tuple[np.ndarray, np.ndarray]:
             "need a point of shape (d,) and a set of shape (k, d), "
             f"got {x.shape} and {others.shape}"
         )
+    if not (np.isfinite(x).all() and np.isfinite(others).all()):
+        raise DomainError("a point and a set of points need finite coordinates")
     return x, others

@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError, EnumerationLimitError, check_int, check_point_set
+from .errors import EnumerationLimitError, check_int, check_point_set
 from .geometry import PointCloud
 from .separability import SeparabilityCertificate, others_of
 
@@ -52,13 +52,12 @@ MAX_SUBSETS = 2_000_000
 def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> SeparabilityCertificate:
     """Exact hull membership of ``x`` in ``conv(others)`` by enumeration.
 
-    Raises DomainError unless x is a finite point of shape (d,) and others a
-    finite set of shape (k, d), and EnumerationLimitError when the subsets to
-    enumerate exceed ``max_subsets``.
+    Raises DomainError unless x is a finite point of shape (d,), others a
+    finite set of shape (k, d) and ``max_subsets`` an integer >= 1, and
+    EnumerationLimitError when the subsets to enumerate exceed ``max_subsets``.
     """
     x, others = check_point_set(x, others)
-    if not (np.isfinite(x).all() and np.isfinite(others).all()):
-        raise DomainError("the exact oracle needs finite coordinates")
+    max_subsets = check_int(max_subsets, "max_subsets", 1)
     m, d = others.shape
     if m == 0:
         return SeparabilityCertificate("separable", "exact_oracle", 0.0)

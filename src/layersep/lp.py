@@ -16,11 +16,9 @@ only finitely often, so a cycle would have to run under Bland's rule, which
 cannot cycle.  The leaving row is always the lowest basis index among
 ratio-test ties.
 
-A caller that knows a feasible basis passes it and the solver starts there.
-Without one, phase 1 runs in the same loop over one appended artificial column
-per row, then phase 2 continues from the basis it found.  A pivot cap turns
-numerical pathology into a loud :class:`LPStallError` instead of a wrong
-answer.
+The solve starts from a feasible basis that the caller supplies; there is no
+phase 1.  A pivot cap turns numerical pathology into a loud
+:class:`LPStallError` instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .errors import DomainError, LPStallError
 
 # reduced costs / pivot elements below this count as zero
 PIVOT_TOL = 1e-11
-# phase-1 objective, and a negative start-basis value, below this count as feasible
+# a negative start-basis value above -FEASIBILITY_TOL counts as feasible
 FEASIBILITY_TOL = 1e-9
 # eta updates between two refactorizations of the basis inverse
 REFACTOR_EVERY = 32
@@ -43,72 +41,46 @@ __all__ = ["SimplexResult", "solve_standard_form", "PIVOT_TOL", "FEASIBILITY_TOL
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """Outcome of a simplex run.
+    """Optimum of a simplex run.
 
     Attributes:
-        status: 'optimal' or 'infeasible' (infeasible carries Farkas duals).
-        x: primal solution over the structural variables (zeros if infeasible).
-        duals: one multiplier per original row, original row orientation.
+        x: optimal primal solution.
+        duals: one multiplier per row.
         objective: c @ x at the returned point.
-        pivots: total pivot count, phase 1 included when it ran.
+        pivots: total pivot count.
     """
 
-    status: str
     x: np.ndarray
     duals: np.ndarray
     objective: float
     pivots: int
 
 
-def solve_standard_form(c, A, b, max_pivots: int, basis=None) -> SimplexResult:
-    """Revised simplex from a given feasible basis, or from phase 1.
+def solve_standard_form(c, A, b, max_pivots: int, basis) -> SimplexResult:
+    """Revised simplex from a caller's feasible basis.
 
     Args:
         c: costs, shape (n,).
         A: equality-constraint matrix, shape (m, n).
-        b: right-hand side, shape (m,); any sign (rows are flipped internally).
+        b: right-hand side, shape (m,).
         max_pivots: hard cap on total pivots; exceeding it raises LPStallError.
-        basis: optional m distinct column indices whose matrix ``A[:, basis]``
-            is nonsingular with ``A[:, basis]^-1 b >= -FEASIBILITY_TOL``; the
-            solve then starts there and runs no phase 1.
-
-    Returns:
-        SimplexResult; ``status='infeasible'`` when phase 1 cannot zero the
-        artificial variables.
+        basis: m distinct column indices whose matrix ``A[:, basis]`` is
+            nonsingular with ``A[:, basis]^-1 b >= -FEASIBILITY_TOL``.
 
     Raises:
         DomainError: ``basis`` is malformed, singular or infeasible.
         LPStallError: pivot cap exceeded, or an unbounded ray shows up (which
             for a correctly posed bounded program means numerical failure).
     """
-    A = np.array(A, dtype=np.float64)
-    b = np.array(b, dtype=np.float64)
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    m, n = A.shape
-    flip = b < 0.0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    if basis is None:
-        simplex = _Simplex(np.hstack([A, np.eye(m)]), b, np.arange(n, n + m), max_pivots)
-        phase1_costs = np.concatenate([np.zeros(n), np.ones(m)])
-        duals = simplex.run(phase1_costs, n)
-        if float(phase1_costs[simplex.basis] @ simplex.xb) > FEASIBILITY_TOL:
-            duals[flip] *= -1.0
-            return SimplexResult("infeasible", np.zeros(n), duals, float("inf"), simplex.pivots)
-        simplex.drive_out_artificials(n)
-        costs = np.concatenate([c, np.zeros(m)])
-    else:
-        simplex = _start(A, b, basis, max_pivots)
-        costs = c
-
-    duals = simplex.run(costs, n)
-    x = np.zeros(n)
-    keep = simplex.basis < n
-    x[simplex.basis[keep]] = simplex.xb[keep]
+    simplex = _start(A, b, basis, max_pivots)
+    duals = simplex.run(c)
+    x = np.zeros(A.shape[1])
+    x[simplex.basis] = simplex.xb
     np.maximum(x, 0.0, out=x)  # basic values can round to -1e-17
-    duals[flip] *= -1.0
-    return SimplexResult("optimal", x, duals, float(c @ x), simplex.pivots)
+    return SimplexResult(x, duals, float(c @ x), simplex.pivots)
 
 
 def _start(A, b, basis, max_pivots) -> _Simplex:
@@ -164,18 +136,16 @@ class _Simplex:
         if self.etas >= REFACTOR_EVERY:
             self.refactor()
 
-    def run(self, costs: np.ndarray, limit: int) -> np.ndarray:
-        """Pivot until no column below ``limit`` prices out; return the duals.
-        Pricing is Dantzig's, or Bland's after more than m pivots in a row
-        without progress (see the module docstring)."""
+    def run(self, costs: np.ndarray) -> np.ndarray:
+        """Pivot until no column prices out; return the duals.  Pricing is
+        Dantzig's, or Bland's after more than m pivots in a row without
+        progress (see the module docstring)."""
         m = len(self.basis)
-        priced_costs = costs[:limit]
-        priced = self.A[:, :limit]
         best = float(costs[self.basis] @ self.xb)
         stalled = 0
         while True:
             duals = costs[self.basis] @ self.binv
-            reduced = priced_costs - duals @ priced
+            reduced = costs - duals @ self.A
             if stalled > m:
                 candidates = np.flatnonzero(reduced < -PIVOT_TOL)
                 q = int(candidates[0]) if candidates.size else -1
@@ -207,13 +177,3 @@ class _Simplex:
                 best, stalled = objective, 0
             else:
                 stalled += 1
-
-    def drive_out_artificials(self, n: int) -> None:
-        """Pivot each artificial left basic at level ~0 out for a structural
-        column; rows whose structural part is all zeros are redundant and keep
-        their artificial pinned harmlessly."""
-        for r in np.flatnonzero(self.basis >= n).tolist():
-            structural = np.flatnonzero(np.abs(self.binv[r] @ self.A[:, :n]) > PIVOT_TOL)
-            if structural.size:
-                q = int(structural[0])
-                self.pivot(r, q, self.binv @ self.A[:, q])

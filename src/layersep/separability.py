@@ -10,9 +10,9 @@ Two notions of separability for a point X against a finite set M:
   the revised simplex on the exact dual of that program — minimize
   ``|X - sum(lambda_j Y_j)|_1`` over the probability simplex — which has the
   same optimal value and (dimension + 1) rows however large M is.  The solve
-  starts from a crash basis that is feasible by construction, so it runs no
-  phase 1.  The dual values give the optimal normal A, the basis gives the
-  convex coefficients; so one solve produces the witness for either verdict.
+  starts from a crash basis that is feasible by construction.  The dual values
+  give the optimal normal A, the basis gives the convex coefficients; so one
+  solve produces the witness for either verdict.
 
 Set-level checks ask whether every point is separable from the others
 (1-convexity).  Both set checks get every point's Fisher margin from one

@@ -175,12 +175,12 @@ def test_layer_count_ratio_identity_grid():
 def test_layer_count_ratio_raises_when_identity_breaks(monkeypatch):
     # a Fisher threshold off by 1e-9 in log space breaks the identity; the
     # check must raise whatever the interpreter's optimisation level
-    real = asymptotics._n_fisher
+    real = asymptotics.n_admissible
 
-    def drifted(query):
-        return SimpleNamespace(log_raw=real(query).log_raw + 1e-9)
+    def drifted(bound_id, **query):
+        return SimpleNamespace(log_raw=real(bound_id, **query).log_raw + 1e-9)
 
-    monkeypatch.setattr(asymptotics, "_n_fisher", drifted)
+    monkeypatch.setattr(asymptotics, "n_admissible", drifted)
     with pytest.raises(ArithmeticError, match=r"\(0\.5, 0\.2, 4, "):
         layer_count_ratio(0.5, 0.2, 4)
 

@@ -516,10 +516,20 @@ def test_malformed_point_set_pairs_raise_domain_error(check, pair):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_exact_oracle_rejects_non_finite_coordinates(bad):
-    with pytest.raises(DomainError):
-        exact_point_vs_set([bad, 0.0], [[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(DomainError):
-        exact_point_vs_set([0.5, 0.0], [[0.0, bad], [1.0, 0.0]])
+    # every point-vs-set check: a NaN margin fails `> 0` and would read as a
+    # Fisher verdict, and a NaN column makes the LP's crash basis singular
+    for check in POINT_VS_SET.values():
+        with pytest.raises(DomainError, match="finite"):
+            check([bad, 0.0], [[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(DomainError, match="finite"):
+            check([0.5, 0.0], [[0.0, bad], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("max_subsets", [math.nan, None, 0, 1.5])
+def test_exact_oracle_validates_max_subsets(max_subsets):
+    # `total > nan` is False, so a NaN guard would enumerate without limit
+    with pytest.raises(DomainError, match="max_subsets"):
+        exact_point_vs_set([0.5, 0.0], [[0.0, 0.0], [1.0, 0.0]], max_subsets=max_subsets)
 
 
 def hull_instances():
@@ -535,38 +545,36 @@ def hull_instances():
                 yield pts[i], np.vstack([others, pts[i]])
 
 
-def test_crash_start_agrees_with_phase_one(monkeypatch):
-    objectives = []
+def test_crash_start_reaches_a_certified_optimum(monkeypatch):
+    # a primal-feasible x and a dual-feasible y with equal objectives prove
+    # the objective optimal, and the verdict depends only on the objective
+    solves = []
 
-    def recorded(c, A, b, max_pivots, basis=None):
+    def recorded(c, A, b, max_pivots, basis):
         result = solve_standard_form(c, A, b, max_pivots=max_pivots, basis=basis)
-        objectives.append(result.objective)
+        solves.append((c, A, b, result))
         return result
 
-    def phase_one(c, A, b, max_pivots, basis):
-        return recorded(c, A, b, max_pivots=max_pivots)
-
+    monkeypatch.setattr(separability, "solve_standard_form", recorded)
     verdicts = set()
     for x, others in hull_instances():
-        monkeypatch.setattr(separability, "solve_standard_form", recorded)
-        crash = lp_point_vs_set(x, others)
-        monkeypatch.setattr(separability, "solve_standard_form", phase_one)
-        plain = lp_point_vs_set(x, others)
-        assert crash.verdict == plain.verdict
-        assert objectives[-2] == pytest.approx(objectives[-1], abs=1e-12)
-        assert crash.margin == pytest.approx(plain.margin, abs=1e-12)
-        assert verify_certificate(crash, x, others)
-        assert verify_certificate(plain, x, others)
-        verdicts.add(crash.verdict)
+        cert = lp_point_vs_set(x, others)
+        c, A, b, result = solves[-1]
+        assert np.abs(A @ result.x - b).max() <= 1e-12
+        assert np.all(result.x >= 0.0)
+        assert np.all(result.duals @ A <= c + 1e-12)
+        assert abs(result.duals @ b - c @ result.x) <= 1e-12
+        assert verify_certificate(cert, x, others)
+        verdicts.add(cert.verdict)
     assert verdicts == {"separable", "not_separable"}
 
 
 def test_lp_nonseparating_normal_is_a_diagnostic(monkeypatch):
     # an optimal distance above tol whose dual normal separates nothing must
     # raise, not become a separable verdict
-    def broken(c, A, b, max_pivots, basis=None):
+    def broken(c, A, b, max_pivots, basis):
         m, n = np.shape(A)
-        return SimplexResult("optimal", np.zeros(n), np.zeros(m), 1.0, 0)
+        return SimplexResult(np.zeros(n), np.zeros(m), 1.0, 0)
 
     monkeypatch.setattr(separability, "solve_standard_form", broken)
     square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])

@@ -76,3 +76,20 @@ def test_exact_oracle_shares_no_code_with_the_lp():
             found += [alias.name for alias in node.names
                       if alias.name == "lp" or alias.name in lp_names]
     assert not found, f"exact.py imports from the LP: {found}"
+
+
+def test_no_module_imports_private_names():
+    # a leading underscore marks a name its module may change at will; a
+    # sibling that imports one couples itself to that module's internals
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "layersep")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found, f"private names imported across modules: {found}"
