@@ -5,13 +5,9 @@ hull iff some subset of at most d+1 points of M contains it in its convex hull
 (Caratheodory), and each subset is settled by solving its barycentric linear
 system exactly.
 
-The system is solved on integers.  Every finite float is an integer of at
-most 53 bits times a power of two, ``v = m * 2**(e - 53)`` with ``(m, e)`` as
-``math.frexp`` gives them and m scaled by ``2**53``.  So one common factor
-``2**s`` with ``s = max(53 - e)`` over the nonzero coordinates of X and M
-makes every coordinate an exact Python int, with no float rounding or overflow
-on the way, and the smallest of them is no wider than 53 bits.  Only the d
-coordinate equations are scaled, on both sides, so the solution is unchanged
+The system is solved on integers.  One common power of two makes every
+coordinate of X and M an exact Python int (:mod:`layersep.dyadic`).  Only the
+d coordinate equations are scaled, on both sides, so the solution is unchanged
 and the affine row ``sum(lam) = 1`` stays all ones.
 
 Each subset's (d+1) x (k+1) integer system is reduced by fraction-free Gaussian
@@ -39,6 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .dyadic import scaled_to_integers
 from .errors import EnumerationLimitError, check_int, check_point_set
 from .geometry import PointCloud
 from .separability import SeparabilityCertificate, others_of
@@ -68,7 +65,7 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
             f"enumeration of {total} subsets exceeds the guard ({max_subsets}); "
             f"instance m={m}, d={d} is too large for the exact oracle"
         )
-    target, *points = _scaled_to_integers([x.tolist(), *others.tolist()])
+    target, *points = scaled_to_integers([x.tolist(), *others.tolist()])
     for k in range(1, k_max + 1):
         for subset in combinations(range(m), k):
             solution = _barycentric_if_inside(target, [points[j] for j in subset])
@@ -87,15 +84,6 @@ def exact_oracle_point(i: int, cloud: PointCloud, max_subsets: int = MAX_SUBSETS
     """Exact verdict for point i of a cloud versus all the others."""
     i = check_int(i, "point index", 0, cloud.n)
     return exact_point_vs_set(cloud.points[i], others_of(cloud.points, i), max_subsets)
-
-
-def _scaled_to_integers(rows):
-    """Finite float rows times one common power of two, as exact ints."""
-    # v = m * 2**(e - 53) with frexp's m scaled to an integer below 2**53, so
-    # v * 2**s is that integer shifted left by s + e - 53 >= 0
-    parts = [[math.frexp(v) for v in row] for row in rows]
-    s = max((53 - e for row in parts for m, e in row if m), default=0)
-    return [[int(math.ldexp(m, 53)) << (s + e - 53) if m else 0 for m, e in row] for row in parts]
 
 
 def _barycentric_if_inside(target, columns):

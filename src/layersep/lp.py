@@ -68,16 +68,25 @@ def solve_standard_form(c, A, b, max_pivots: int, basis) -> SimplexResult:
             nonsingular with ``A[:, basis]^-1 b >= -FEASIBILITY_TOL``.
 
     Raises:
-        DomainError: ``basis`` is malformed, singular or infeasible.
+        DomainError: ``A`` is not 2-d, ``c`` or ``b`` does not match its
+            shape, or ``basis`` is malformed, singular or infeasible.
         LPStallError: pivot cap exceeded, or an unbounded ray shows up (which
             for a correctly posed bounded program means numerical failure).
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
+    if A.ndim != 2:
+        raise DomainError(f"A must be a 2-d matrix, got shape {A.shape}")
+    m, n = A.shape
+    if c.shape != (n,) or b.shape != (m,):
+        raise DomainError(
+            f"c must have shape ({n},) and b shape ({m},) for A of shape {A.shape}, "
+            f"got {c.shape} and {b.shape}"
+        )
     simplex = _start(A, b, basis, max_pivots)
     duals = simplex.run(c)
-    x = np.zeros(A.shape[1])
+    x = np.zeros(n)
     x[simplex.basis] = simplex.xb
     np.maximum(x, 0.0, out=x)  # basic values can round to -1e-17
     return SimplexResult(x, duals, float(c @ x), simplex.pivots)

@@ -16,8 +16,19 @@ Two notions of separability for a point X against a finite set M:
 
 Set-level checks ask whether every point is separable from the others
 (1-convexity).  Both set checks get every point's Fisher margin from one
-blockwise Gram kernel, ``fisher_margins``; the linear set check runs the LP
-only on points that fail the Fisher test.
+blockwise Gram kernel, ``fisher_margins``.  The linear set check is a cascade
+(Gorban et al. 2018): a point that fails the Fisher test gets at most
+``PERCEPTRON_STEPS`` perceptron steps from its Fisher normal X, and only a
+point the perceptron does not certify goes to the simplex.  Novikoff (1962)
+bounds the steps a perceptron needs by (R / gamma)^2, so well-separated points
+are settled by a few matvecs.  A perceptron normal is accepted only when its
+computed margin exceeds the LP's tolerance by more than the rounding-error
+bound of the products (``gap_error_bound``), so it certifies only points whose
+LP margin exceeds that tolerance: points the LP calls separable.
+
+A separable certificate is re-checked with the same bound: a computed gap
+(A, X) - (A, Y) beyond the bound has the sign of the exact one, and a gap
+within it is decided in exact integer arithmetic (:mod:`layersep.dyadic`).
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .dyadic import scaled_to_integers
 from .errors import LPStallError, check_int, check_point_set, check_real
 from .geometry import PointCloud
 from .lp import solve_standard_form
@@ -38,6 +50,7 @@ __all__ = [
     "fisher_margins",
     "fisher_separable_point",
     "fisher_separable_set",
+    "gap_error_bound",
     "linearly_separable_point",
     "linearly_separable_set",
     "fisher_point_vs_set",
@@ -47,6 +60,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# perceptron matvecs per point the Fisher test leaves open, before the simplex
+PERCEPTRON_STEPS = 20
 
 # simplex pivot budget for a check against k points in dimension d: the cloud
 # has n = k + 1 points, cap = 50 * (n + d)
@@ -60,13 +75,16 @@ class SeparabilityCertificate:
 
     Attributes:
         verdict: 'separable' or 'not_separable'.
-        method: 'fisher' | 'lp' | 'exact_oracle' — which decision path ran.
+        method: 'fisher' | 'perceptron' | 'lp' | 'exact_oracle' — which
+            decision path ran.  'perceptron' certificates come only from the
+            linear set check and are always separable.
         margin: achieved strict-separation slack.  Fisher: min over Y of
             (X,X) - (X,Y) (negative when not separable, +inf for an empty M).
+            Perceptron: min over Y of (A,X) - (A,Y) for its normal A.
             LP: the optimal margin of the bounded-normal program.  The exact
             oracle proves verdicts without a metric, so it reports 0.0.
         hyperplane: witness normal A with (A, X) > (A, Y) for all Y; present
-            for separable fisher/lp verdicts.
+            for separable fisher/perceptron/lp verdicts.
         coefficients: convex coefficients over M (aligned with M's order)
             reconstructing X; present for not_separable lp/exact verdicts.
     """
@@ -88,10 +106,13 @@ class SetReport:
 
     ``margins`` holds the Fisher margin of each inspected point in order (the
     point passed the Fisher test iff its margin is > 0) and ``lp_certificates``
-    the certificate of each point the LP decided, by index.  In verdict-only
+    the certificate of each point handed past the Fisher screen, by index,
+    whether the perceptron stage or the simplex decided it.  In verdict-only
     mode the inspected points, and so ``per_point``, stop at the first failure.
-    ``lp_calls`` counts simplex runs and ``lp_skipped_by_fisher`` the points
-    the Fisher pre-screen settled; their sum is the number of linear checks.
+    ``lp_calls`` counts the points handed past the Fisher screen and
+    ``lp_skipped_by_fisher`` the points the screen settled; their sum is the
+    number of linear checks.  ``simplex_runs`` counts the points of
+    ``lp_calls`` the perceptron did not certify, so the LP ran on them.
     """
 
     all_separable: bool
@@ -101,6 +122,7 @@ class SetReport:
     lp_certificates: dict = field(default_factory=dict, repr=False, compare=False)
     lp_calls: int = 0
     lp_skipped_by_fisher: int = 0
+    simplex_runs: int = 0
 
     @cached_property
     def per_point(self) -> tuple[SeparabilityCertificate, ...]:
@@ -121,6 +143,21 @@ def others_of(points: np.ndarray, i: int) -> np.ndarray:
 # Fisher checks
 
 FISHER_BLOCK = 256  # Gram rows per block, and the granularity of the early exit
+
+
+def gap_error_bound(d: int, a_peak, x_peak, y_peak):
+    """Bound on the rounding error of a computed gap ``(A, X) - (A, Y)``.
+
+    ``a_peak``, ``x_peak`` and ``y_peak`` bound the largest coordinates of A,
+    X and Y in magnitude (scalars or arrays that broadcast).  A computed gap
+    above the bound is positive in exact arithmetic, one below minus the bound
+    is negative.
+    """
+    # any summation order gives |fl(a.y) - (a,y)| <= d u sum|a_k y_k| <= d^2 u
+    # max|a| max|y|: the bound covers two such errors and underflow
+    band = 4.0 * d * d * 2.0**-53 * a_peak * (x_peak + y_peak)
+    band += d * 2.0**-1072
+    return band
 
 
 def _fisher_certificate(x: np.ndarray, margin: float) -> SeparabilityCertificate:
@@ -150,11 +187,8 @@ def fisher_margins(points: np.ndarray, stop_at_failure: bool = False) -> np.ndar
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, d = points.shape
     self_dots = np.einsum("ij,ij->i", points, points)
-    # any summation order gives |fl(x.y) - (x,y)| <= d u sum|x_k y_k| <= d^2 u
-    # max|x| max|y|: the band covers two such errors and underflow
     peaks = np.abs(points).max(axis=1)
-    tie_band = 4.0 * d * d * 2.0**-53 * peaks * (peaks + peaks.max(initial=0.0))
-    tie_band += d * 2.0**-1072
+    tie_band = gap_error_bound(d, peaks, peaks, peaks.max(initial=0.0))
     columns = np.ascontiguousarray(points.T)  # a faster GEMM operand than the view
     # the Gram matrix is symmetric: a block's rows meet only the columns from its
     # start on, and col_max carries the earlier blocks' part of each row maximum
@@ -224,10 +258,8 @@ def lp_point_vs_set(
         return SeparabilityCertificate(
             "separable", "lp", float("inf"), hyperplane=x.copy()
         )
-    # tolerance scales with the instance (norms are <= 1 for shell clouds,
-    # so effectively absolute there)
     scale = max(float(np.abs(others).max(initial=0.0)), float(np.abs(x).max(initial=0.0)))
-    tol_eff = tol * scale if scale > 0.0 else tol
+    tol_eff = _scaled_tol(tol, scale)
 
     # min sum(u) + sum(v)  s.t.  (others - x).T @ lam + u - v = 0,  sum(lam) = 1:
     # x - others.T @ lam written with sum(lam) = 1, so that points within ~1e-9
@@ -270,6 +302,41 @@ def lp_point_vs_set(
     )
 
 
+def _scaled_tol(tol: float, scale: float) -> float:
+    """The LP's tolerance for an instance whose largest coordinate is ``scale``
+    (norms are <= 1 for shell clouds, so effectively absolute there)."""
+    return tol * scale if scale > 0.0 else tol
+
+
+def _perceptron_certificate(
+    points: np.ndarray, i: int, peak: float, tol_eff: float
+) -> SeparabilityCertificate | None:
+    """Separate row i from the other rows by perceptron steps from A = X, or None.
+
+    Each step is one matvec over all rows with row i masked; the most violated
+    Y gives the update A <- A + (X - Y) / 2.  A is accepted once every computed
+    gap (A, X) - (A, Y) exceeds the LP's tolerance scaled by max|A| by more
+    than the rounding-error bound: then A / max|A| is a feasible normal of the
+    margin program with a margin above ``tol_eff``, which the LP calls
+    separable.  ``peak`` is max |points|.
+    """
+    x = points[i]
+    d = len(x)
+    x_peak = float(np.abs(x).max())
+    normal = x.copy()
+    for _ in range(PERCEPTRON_STEPS):
+        products = points @ normal
+        top = products[i]
+        products[i] = -np.inf
+        j = int(np.argmax(products))
+        gap = float(top - products[j])
+        a_peak = float(np.abs(normal).max())
+        if gap > gap_error_bound(d, a_peak, x_peak, peak) + tol_eff * a_peak:
+            return SeparabilityCertificate("separable", "perceptron", gap, hyperplane=normal)
+        normal = normal + 0.5 * (x - points[j])
+    return None
+
+
 def linearly_separable_point(
     i: int, cloud: PointCloud, tol: float = DEFAULT_TOL
 ) -> SeparabilityCertificate:
@@ -281,19 +348,29 @@ def linearly_separable_point(
 def linearly_separable_set(
     cloud: PointCloud, tol: float = DEFAULT_TOL, verdict_only: bool = False
 ) -> SetReport:
-    """Linear 1-convexity with the Fisher pre-screen.
+    """Linear 1-convexity by the Fisher, perceptron, simplex cascade.
 
     Points that pass the Fisher check are recorded separable with
-    method='fisher' and no LP runs (Fisher separability implies linear
-    separability).  verdict_only permits early exit at the first
-    not-separable point.
+    method='fisher' (Fisher separability implies linear separability).  The
+    perceptron stage certifies what it can of the rest with method='perceptron',
+    and the LP decides the remainder.  verdict_only permits early exit at the
+    first not-separable point.
     """
+    tol = check_real(tol, "tol", 0.0, np.inf)
     pts = cloud.points
     margins = fisher_margins(pts)
     lp_certificates: dict[int, SeparabilityCertificate] = {}
     first_failure = None
+    simplex_runs = 0
+    peak = tol_eff = None
     for i in np.flatnonzero(margins <= 0.0).tolist():
-        cert = lp_point_vs_set(pts[i], others_of(pts, i), tol)
+        if peak is None:  # a cloud the Fisher test settles pays nothing here
+            peak = float(np.abs(pts).max())
+            tol_eff = _scaled_tol(tol, peak)
+        cert = _perceptron_certificate(pts, i, peak, tol_eff)
+        if cert is None:
+            cert = lp_point_vs_set(pts[i], others_of(pts, i), tol)
+            simplex_runs += 1
         lp_certificates[i] = cert
         if not cert.separable and first_failure is None:
             first_failure = i
@@ -302,7 +379,7 @@ def linearly_separable_set(
                 break
     skipped = int(np.count_nonzero(margins > 0.0))
     return SetReport(first_failure is None, first_failure, margins, pts, lp_certificates,
-                     len(lp_certificates), skipped)
+                     len(lp_certificates), skipped, simplex_runs)
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +395,14 @@ def verify_certificate(
 ) -> bool:
     """Re-check a certificate by direct arithmetic.
 
-    Separable with hyperplane A: margin > 0 and (A, x) > (A, y) + margin *
-    (1 - eps) for all y.  Not separable with coefficients: they are
-    nonnegative, sum to 1 within tolerance, and reconstruct x within 10 * tol.
-    Verdicts without a witness (vacuous separations, exhaustive oracle proofs,
-    Fisher failures) verify trivially.
+    Separable with hyperplane A: margin > 0, (A, x) - (A, y) > 0 exactly for
+    every y, and (A, x) - (A, y) >= margin * (1 - eps) for every y up to the
+    rounding-error bound of the computed gaps (``gap_error_bound``).  A gap
+    within that bound of 0 is decided in exact integer arithmetic.  Not
+    separable with coefficients: they are nonnegative, sum to 1 within
+    tolerance, and reconstruct x within 10 * tol.  Verdicts without a witness
+    (vacuous separations, exhaustive oracle proofs, Fisher failures) verify
+    trivially.
     """
     x = np.asarray(x, dtype=np.float64)
     others = np.asarray(others, dtype=np.float64)
@@ -331,10 +411,17 @@ def verify_certificate(
             return False
         if len(others) == 0:
             return True
-        lhs = float(cert.hyperplane @ x)
-        rhs = others @ cert.hyperplane
-        slack = min(cert.margin, np.finfo(np.float64).max) * (1.0 - eps)
-        return bool(np.all(lhs > rhs + slack))
+        normal = np.asarray(cert.hyperplane, dtype=np.float64)
+        if not all(np.isfinite(v).all() for v in (normal, x, others)):
+            return False
+        gaps = float(normal @ x) - others @ normal
+        band = gap_error_bound(len(x), np.abs(normal).max(), np.abs(x).max(),
+                               np.abs(others).max())
+        claimed = min(cert.margin, np.finfo(np.float64).max) * (1.0 - eps)
+        if np.any(gaps < claimed - band):
+            return False
+        close = others[~(gaps > band)]  # also takes the NaN of overflowed products
+        return _gaps_positive_exactly(normal, x, close)
     if not cert.separable and cert.coefficients is not None:
         lam = np.asarray(cert.coefficients, dtype=np.float64)
         if lam.shape[0] != len(others) or bool(np.any(lam < 0.0)):
@@ -344,3 +431,12 @@ def verify_certificate(
         recon = lam @ others
         return bool(np.linalg.norm(recon - x) <= 10.0 * tol)
     return cert.hyperplane is None and cert.coefficients is None
+
+
+def _gaps_positive_exactly(normal: np.ndarray, x: np.ndarray, others: np.ndarray) -> bool:
+    """(A, x - y) > 0 for every row y of ``others``, in exact integer arithmetic."""
+    if len(others) == 0:
+        return True
+    (a,) = scaled_to_integers([normal.tolist()])
+    xs, *ys = scaled_to_integers([x.tolist(), *others.tolist()])
+    return all(sum(ak * (xk - yk) for ak, xk, yk in zip(a, xs, y)) > 0 for y in ys)

@@ -100,3 +100,16 @@ def test_nearly_singular_start_basis_is_rejected():
     A = [[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]
     with pytest.raises(DomainError, match="singular"):
         solve_standard_form(c=[1.0, 1.0], A=A, b=[1.0, 1.0], max_pivots=100, basis=[0, 1])
+
+
+@pytest.mark.parametrize(
+    "c, A, b",
+    [
+        ([1.0], [1.0], [1.0]),  # A is not 2-d
+        ([1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0]),  # c longer than A is wide
+        ([1.0, 1.0], [[1.0, 1.0]], [1.0, 1.0]),  # b longer than A is tall
+    ],
+)
+def test_mismatched_shapes_raise_domain_error(c, A, b):
+    with pytest.raises(DomainError, match="shape"):
+        solve_standard_form(c=c, A=A, b=b, max_pivots=10, basis=[0])

@@ -9,12 +9,15 @@ from layersep.exact import exact_oracle_point, exact_point_vs_set
 from layersep.geometry import LayerSpec, PointCloud, sample_layer
 from layersep.lp import SimplexResult, solve_standard_form
 from layersep.separability import (
+    DEFAULT_TOL,
     FISHER_BLOCK,
+    PERCEPTRON_STEPS,
     SeparabilityCertificate,
     fisher_margins,
     fisher_point_vs_set,
     fisher_separable_point,
     fisher_separable_set,
+    gap_error_bound,
     linearly_separable_point,
     linearly_separable_set,
     lp_point_vs_set,
@@ -223,7 +226,28 @@ def eager_fisher_set(cloud, verdict_only):
     return certs
 
 
+def eager_perceptron(points, i, tol=DEFAULT_TOL):
+    """The perceptron stage of the cascade for point i, written out step by step."""
+    x, d = points[i], points.shape[1]
+    peak = np.abs(points).max()
+    normal = x.copy()
+    for _ in range(PERCEPTRON_STEPS):
+        products = points @ normal
+        top = products[i]
+        products[i] = -np.inf
+        j = int(np.argmax(products))
+        gap = float(top - products[j])
+        a_peak = float(np.abs(normal).max())
+        band = gap_error_bound(d, a_peak, float(np.abs(x).max()), float(peak))
+        if gap > band + tol * peak * a_peak:
+            return SeparabilityCertificate("separable", "perceptron", gap, hyperplane=normal)
+        normal = normal + 0.5 * (x - points[j])
+    return None
+
+
 def eager_linear_set(cloud, verdict_only):
+    """Per-point certificates of the Fisher, perceptron, simplex cascade, built
+    eagerly, point by point."""
     margins = fisher_margins(cloud.points)
     certs = []
     for i, margin in enumerate(margins):
@@ -234,7 +258,7 @@ def eager_linear_set(cloud, verdict_only):
                 )
             )
             continue
-        cert = linearly_separable_point(i, cloud)
+        cert = eager_perceptron(cloud.points, i) or linearly_separable_point(i, cloud)
         certs.append(cert)
         if verdict_only and not cert.separable:
             break
@@ -269,7 +293,8 @@ def test_lazy_per_point_matches_eager_certificates(verdict_only):
         linear = linearly_separable_set(cloud, verdict_only=verdict_only)
         want = eager_linear_set(cloud, verdict_only)
         assert_same_certificates(linear.per_point, want)
-        assert linear.lp_calls == sum(c.method == "lp" for c in want)
+        assert linear.lp_calls == sum(c.method in ("perceptron", "lp") for c in want)
+        assert linear.simplex_runs == sum(c.method == "lp" for c in want)
         assert linear.lp_skipped_by_fisher == sum(c.method == "fisher" for c in want)
         failures = [i for i, c in enumerate(want) if not c.separable]
         assert linear.first_failure == (failures[0] if failures else None)
@@ -381,10 +406,83 @@ def test_lp_set_fisher_prescreen_method_labels():
     report = linearly_separable_set(cloud)
     fisher_certs = [c for c in report.per_point if c.method == "fisher"]
     lp_certs = [c for c in report.per_point if c.method == "lp"]
+    perceptron_certs = [c for c in report.per_point if c.method == "perceptron"]
     assert len(fisher_certs) == report.lp_skipped_by_fisher
-    assert len(lp_certs) == report.lp_calls
+    assert len(lp_certs) == report.simplex_runs
+    assert len(lp_certs) + len(perceptron_certs) == report.lp_calls
     # the pre-screen only ever skips separable points
     assert all(c.separable for c in fisher_certs)
+
+
+def set_lp_clouds(count):
+    # shaped like the set_lp benchmark: n=1000, d 8-12, r 0.8/0.9, where the
+    # Fisher test leaves a few dozen points of each cloud open
+    rng = np.random.default_rng(12)
+    for t in range(count):
+        layer = LayerSpec(d=int(rng.integers(8, 13)), r=(0.8, 0.9)[t % 2])
+        yield sample_layer(layer, 1000, seed=int(rng.integers(2**62)))
+
+
+def tie_clouds():
+    for make in (dyadic_cloud, near_tie_cloud):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            yield make(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25)))
+
+
+def test_perceptron_certificates_are_sound():
+    # every perceptron certificate re-checks, and the LP and, where the
+    # instance is small enough, the exact oracle call its point separable
+    stage = set()
+    oracle_checked = 0
+    set_lp_open = set_lp_simplex = 0
+    for cloud in [*set_lp_clouds(6), *tie_clouds()]:
+        quick = linearly_separable_set(cloud, verdict_only=True)
+        report = linearly_separable_set(cloud)
+        for checked in (quick, report):
+            assert checked.lp_calls + checked.lp_skipped_by_fisher == len(checked.per_point)
+            assert checked.simplex_runs <= checked.lp_calls
+            assert checked.simplex_runs == sum(c.method == "lp" for c in checked.per_point)
+        if cloud.n == 1000:
+            set_lp_open += report.lp_calls
+            set_lp_simplex += report.simplex_runs
+        for i, cert in report.lp_certificates.items():
+            if cert.method != "perceptron":
+                continue
+            stage.add(cloud.n)
+            x, others = cloud.points[i], np.delete(cloud.points, i, axis=0)
+            assert cert.separable
+            assert verify_certificate(cert, x, others)
+            assert lp_point_vs_set(x, others).separable
+            try:
+                assert exact_point_vs_set(x, others, max_subsets=300).separable
+                oracle_checked += 1
+            except EnumerationLimitError:
+                pass
+    assert 1000 in stage and len(stage) > 1  # the stage ran on both kinds of cloud
+    assert oracle_checked > 0
+    # the stage settles most points the Fisher test leaves open in set_lp clouds
+    assert set_lp_simplex < set_lp_open / 4
+
+
+def test_perceptron_stage_needs_its_rounding_band(monkeypatch):
+    # with a vanishing tolerance only the rounding-error band keeps the stage
+    # from accepting a normal whose computed gaps are rounding noise: on the
+    # near-tie clouds the gaps are ~1e-18 against products of ~0.25 (on the
+    # dyadic clouds every product is exact, so the stage certifies points)
+    def undecided(x, others, tol):
+        return SeparabilityCertificate("not_separable", "lp", 0.0)
+
+    monkeypatch.setattr(separability, "lp_point_vs_set", undecided)
+    certified = 0
+    for cloud in tie_clouds():
+        report = linearly_separable_set(cloud, tol=1e-300)
+        for i, cert in report.lp_certificates.items():
+            if cert.method == "perceptron":
+                others = np.delete(cloud.points, i, axis=0)
+                assert oracles.exact_hyperplane_separates(cloud.points[i], others, cert.hyperplane)
+                certified += 1
+    assert certified > 0
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +705,34 @@ def test_certificates_recheck_on_random_clouds():
             assert verify_certificate(cert, cloud.points[i], others), (
                 f"certificate failed re-check: trial={trial} i={i} {cert.method}"
             )
+
+
+def test_near_tie_lp_certificates_recheck():
+    # the gaps of these certificates are ~1e-10 against products of ~0.25, so
+    # re-checking the claimed margin takes the rounding-error bound, and gaps
+    # inside it are decided exactly
+    rng = np.random.default_rng(7)
+    separable = 0
+    for _ in range(200):
+        cloud = near_tie_cloud(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25)))
+        for i in range(cloud.n):
+            x, others = cloud.points[i], np.delete(cloud.points, i, axis=0)
+            cert = lp_point_vs_set(x, others)
+            if cert.separable:
+                separable += 1
+                assert verify_certificate(cert, x, others), i
+    assert separable > 1000
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_recheck_decides_gaps_inside_the_band_exactly(flip):
+    # x = (1, 2**-60) against y = (1, 0): the computed gaps are exact, but
+    # 2**-60 lies far inside the rounding-error bound, so only the exact test
+    # can accept the true normal (0, 1) and reject its negation
+    x, others = np.array([1.0, 2.0**-60]), np.array([[1.0, 0.0]])
+    normal = np.array([0.0, -1.0 if flip else 1.0])
+    cert = SeparabilityCertificate("separable", "lp", 2.0**-61, hyperplane=normal)
+    assert verify_certificate(cert, x, others) is not flip
 
 
 def test_separable_hyperplane_exact_recheck():
