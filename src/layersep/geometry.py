@@ -25,8 +25,31 @@ __all__ = [
 
 # Slack for re-checking norms of stored float64 coordinates.  Empirically the
 # normalize-then-rescale construction drifts at most 3 ulp from the assigned
-# radius, independent of d (numpy reduces pairwise).
+# radius, independent of d (numpy reduces pairwise).  One range check,
+# _check_in_shell, applies it to outside clouds and to sampled ones alike.
 _NORM_SLACK_ULPS = 4.0
+
+
+def _row_norms(pts: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm of each row: the floats ``np.linalg.norm(pts, axis=1)`` gives.
+
+    ``scratch`` (same shape and dtype as ``pts``) receives the squares, so a
+    caller that takes several norms of one shape allocates them once.
+    """
+    return np.sqrt(np.add.reduce(np.multiply(pts, pts, out=scratch), axis=1))
+
+
+def _check_in_shell(norms: np.ndarray, layer: LayerSpec) -> None:
+    """Raise unless every norm lies in ``[r, 1]`` up to ``_NORM_SLACK_ULPS``."""
+    if not norms.size:
+        return
+    hi = 1.0 + _NORM_SLACK_ULPS * np.spacing(1.0)
+    lo = layer.r - _NORM_SLACK_ULPS * np.spacing(max(layer.r, 1.0))
+    if norms.max() > hi or norms.min() < lo:
+        raise DomainError(
+            "point norms leave the shell: "
+            f"range [{norms.min()}, {norms.max()}] vs [{layer.r}, 1]"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,18 +95,22 @@ class PointCloud:
             )
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must be finite")
-        if pts.shape[0]:
-            norms = np.linalg.norm(pts, axis=1)
-            hi = 1.0 + _NORM_SLACK_ULPS * np.spacing(1.0)
-            lo = self.layer.r - _NORM_SLACK_ULPS * np.spacing(max(self.layer.r, 1.0))
-            if norms.max() > hi or norms.min() < lo:
-                raise DomainError(
-                    "point norms leave the shell: "
-                    f"range [{norms.min()}, {norms.max()}] vs [{self.layer.r}, 1]"
-                )
+        _check_in_shell(_row_norms(pts), self.layer)
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def _from_sampler(cls, layer: LayerSpec, points: np.ndarray, seed: int) -> PointCloud:
+        """Wrap :func:`sample_layer`'s own read-only array without checking or copying it.
+
+        The sampler checks its output itself; only it may call this.
+        """
+        cloud = object.__new__(cls)
+        object.__setattr__(cloud, "layer", layer)
+        object.__setattr__(cloud, "points", points)
+        object.__setattr__(cloud, "seed", seed)
+        return cloud
 
     @property
     def n(self) -> int:
@@ -131,16 +158,22 @@ def sample_layer(layer: LayerSpec, n: int, seed: int) -> PointCloud:
     n = check_int(n, "n", 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, layer.d))
-    norms = np.linalg.norm(g, axis=1)
+    scratch = np.empty_like(g)
+    norms = _row_norms(g, scratch)
     while True:
         bad = np.flatnonzero(norms == 0.0)
         if bad.size == 0:
             break
         g[bad] = rng.standard_normal((bad.size, layer.d))
-        norms[bad] = np.linalg.norm(g[bad], axis=1)
-    rho = radius_inverse_cdf(rng.random(n), layer)
-    pts = g * (np.asarray(rho) / norms)[:, None]
-    return PointCloud(layer=layer, points=pts, seed=int(seed))
+        norms[bad] = _row_norms(g[bad])
+    scale = radius_inverse_cdf(rng.random(n), layer) / norms
+    # |g_ij| <= norms_i, so a row's coordinates are finite exactly when its scale is
+    if not np.all(np.isfinite(scale)):
+        raise DomainError("sampled points must be finite")
+    g *= scale[:, None]
+    _check_in_shell(_row_norms(g, scratch), layer)
+    g.flags.writeable = False
+    return PointCloud._from_sampler(layer, g, int(seed))
 
 
 def log_unit_ball_volume(d: int) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import mpmath as mp
 
+from layersep import geometry
 from layersep.errors import DomainError
 from layersep.geometry import (
     LayerSpec,
@@ -105,6 +107,52 @@ def test_sample_layer_norms_inside_shell():
         norms = np.linalg.norm(cloud.points, axis=1)
         assert norms.max() <= 1.0 + 4 * np.spacing(1.0)
         assert norms.min() >= r - 4 * np.spacing(1.0)
+
+
+# sha256 of sample_layer(LayerSpec(d, r), n, seed).points.tobytes(), taken
+# before the sampler switched to one norm and in-place scaling: the record CSV
+# digests pin verdicts, these pin the coordinates themselves
+SAMPLE_DIGESTS = [
+    (1, 0.0, 1000, 0, "3e4be44ba5a952b5977206ed840febcc6c02a59f0139817c3a007c3eb875b3b7"),
+    (1, 0.5, 1000, 1, "8cb5d9aaa4c577a68e3c1d88c880143c9aae7fe5793a2def5b5dfc4c1563eb5a"),
+    (2, 0.5, 1000, 2, "27d759c4929cca7eb3a6a526a57bbaa5bfb986cb1fd901eafde4e26834758eaf"),
+    (10, 0.9, 1000, 3, "68efa8bfb3d4ef31fd5e42127d6bead4a200741648c972fdebd30a24a4fd6218"),
+    (59, 0.99, 500, 4, "73ba2ede7b9a8c5ccc262f0f93c39c63c9ffb20dd49d722d2f11c30f3c75f170"),
+    (80, 0.0, 500, 5, "cdfa7025e78e4cd29405b16fe508b1a862f2beb44ca13f22fa3da4e7c2099a2e"),
+    (80, 0.99, 300, 6, "f4d3f28c91017c291868b335de3aea5010410e303131aebb9d1293004a76f131"),
+    (10, 0.5, 0, 7, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("d, r, n, seed, digest", SAMPLE_DIGESTS)
+def test_sample_layer_bytes_pinned(d, r, n, seed, digest):
+    points = sample_layer(LayerSpec(d=d, r=r), n, seed).points
+    assert points.shape == (n, d)
+    assert hashlib.sha256(points.tobytes()).hexdigest() == digest
+
+
+def test_sampled_clouds_pass_outside_validation():
+    # the sampler skips PointCloud's checks and copy; what it returns must be
+    # exactly what those checks accept, stored the way they store it
+    for d in (1, 2, 9, 40):
+        for r in (0.0, 0.5, 0.9, 0.99):
+            for seed in (0, 1, 2**62 + 3):
+                cloud = sample_layer(LayerSpec(d=d, r=r), 300, seed)
+                pts = cloud.points
+                assert pts.dtype == np.float64 and pts.flags.c_contiguous
+                assert not pts.flags.writeable
+                with pytest.raises(ValueError):
+                    pts[0, 0] = 0.0
+                again = PointCloud(layer=cloud.layer, points=pts, seed=cloud.seed)
+                assert again.points.tobytes() == pts.tobytes()
+
+
+@pytest.mark.parametrize("bad_radius", [1.0 + 1e-12, float("nan")])
+def test_sample_layer_rejects_radii_off_the_shell(monkeypatch, bad_radius):
+    # the sampler's own finiteness and shell checks are its only guard
+    monkeypatch.setattr(geometry, "radius_inverse_cdf", lambda u, layer: np.full(len(u), bad_radius))
+    with pytest.raises(DomainError):
+        sample_layer(LayerSpec(d=5, r=0.5), 100, seed=0)
 
 
 def test_sample_layer_d1_signs_balanced():
