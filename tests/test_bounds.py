@@ -1,11 +1,14 @@
 """Bound formulas against multiprecision oracles, trivial closed forms, and domain rules."""
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layersep.asymptotics import CRITICAL_RADII
 from layersep.bounds import (
     BOUND_IDS,
     COUNT_BOUND_IDS,
@@ -318,3 +321,32 @@ def test_bound_results_well_formed(d, r, n, theta):
                 assert res.max_admissible_n is not None
                 assert res.max_admissible_n < res.value
                 assert res.max_admissible_n + 1 >= res.value
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+PINNED_D = (1, 2, 3, 7, 20, 59, 80, 400, 2000, 20000)
+PINNED_R = (0.0, 1e-300, 0.1, 0.3, 0.5, *CRITICAL_RADII.values(), 0.9, 0.99, 0.999999,
+            1.0 - 2.0**-53)
+PINNED_N = (0, 1, 2, 5, 1000, 10**6, 10**12)
+PINNED_THETA = (None, 1e-300, 1e-6, 0.01, 0.5, 0.999999)
+PINNED_DIGEST = "8c769885fd7bbd7b1189d9a51febbc47119570dd2c65243a9a6ab83caac23424"
+
+
+def test_bound_results_pinned():
+    """Every field of every result, and every error message, on a fixed grid
+    hashes to the digest taken before the formula layer was refactored."""
+    digest = hashlib.sha256()
+    for bound_id in (*BOUND_IDS, "no_such_bound"):
+        for d in PINNED_D:
+            for r in PINNED_R:
+                for n in PINNED_N:
+                    for theta in PINNED_THETA:
+                        try:
+                            res = evaluate_bound(bound_id, d=d, r=r, n=n, theta=theta)
+                            line = repr(dataclasses.astuple(res))
+                        except DomainError as exc:
+                            line = repr(str(exc))
+                        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_DIGEST
