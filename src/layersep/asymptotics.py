@@ -97,6 +97,13 @@ class RatioLaw:
     regime: RadiusRegime
 
 
+def _ratio_law(log_exact: float, log_approx: float, limit_value: float, limit_tag: str,
+               regime: RadiusRegime) -> RatioLaw:
+    """A law whose exact ratio and approximant are the exponentials of their logs."""
+    return RatioLaw(exp_or_inf(log_exact), log_exact, exp_or_inf(log_approx), log_approx,
+                    limit_value, limit_tag, regime)
+
+
 def classify_radius(r: float, context: str) -> RadiusRegime:
     """Classify r against one law's critical radius.
 
@@ -161,15 +168,7 @@ def fisher_ratio_f_over_g(r: float, theta: float, d: int) -> RatioLaw:
     else:
         limit_value, limit_tag = 1.0 / math.sqrt(2.0), "converges"
         log_approx = -0.5 * math.log(2.0)
-    return RatioLaw(
-        exact=exp_or_inf(log_exact),
-        log_exact=log_exact,
-        approximant=exp_or_inf(log_approx),
-        log_approximant=log_approx,
-        limit_value=limit_value,
-        limit_tag=limit_tag,
-        regime=regime,
-    )
+    return _ratio_law(log_exact, log_approx, limit_value, limit_tag, regime)
 
 
 def layer_count_ratio(r: float, theta: float, d: int) -> RatioLaw:
@@ -201,15 +200,7 @@ def layer_count_ratio(r: float, theta: float, d: int) -> RatioLaw:
         limit_value, limit_tag = 1.0, "constant"
     else:
         limit_value, limit_tag = math.inf, "diverges"
-    return RatioLaw(
-        exact=exp_or_inf(log_exact),
-        log_exact=log_exact,
-        approximant=exp_or_inf(log_identity),
-        log_approximant=log_identity,
-        limit_value=limit_value,
-        limit_tag=limit_tag,
-        regime=regime,
-    )
+    return _ratio_law(log_exact, log_identity, limit_value, limit_tag, regime)
 
 
 def fisher_gap_exact(d: int, r: float, n: int) -> tuple[float, float]:
@@ -273,12 +264,4 @@ def gap_ratio_linear_vs_fisher(r: float, n: int, d: int) -> RatioLaw:
         log_approx = 0.5 * d * math.log(2.0) + math.log((n + 1.0) / (2.0 * (n - 1.0)))
     else:
         log_approx = 0.5 * d * (2.0 * math.log(2.0) + log_one_minus_r_sq(r)) - math.log(2.0)
-    return RatioLaw(
-        exact=exp_or_inf(log_exact),
-        log_exact=log_exact,
-        approximant=exp_or_inf(log_approx),
-        log_approximant=log_approx,
-        limit_value=math.inf,
-        limit_tag="diverges",
-        regime=regime,
-    )
+    return _ratio_law(log_exact, log_approx, math.inf, "diverges", regime)

@@ -33,23 +33,6 @@ __all__ = [
     "evaluate_bound",
 ]
 
-PROBABILITY_BOUND_IDS = (
-    "p1_linear_lb",
-    "p_linear_lb",
-    "p1_fisher_lb",
-    "p_fisher_lb",
-)
-
-COUNT_BOUND_IDS = (
-    "eq1_n_fisher",
-    "n1_fisher",
-    "n_fisher",
-    "n1_linear",
-    "n_linear",
-)
-
-BOUND_IDS = PROBABILITY_BOUND_IDS + COUNT_BOUND_IDS
-
 STATUS_OK = "ok"
 STATUS_OUTSIDE = "outside_stated_domain"
 STATUS_UNDEFINED = "undefined"
@@ -77,11 +60,6 @@ class BoundQuery:
         object.__setattr__(self, "r", check_real(self.r, "r", 0.0, 1.0, low_closed=True))
         if self.theta is not None:
             object.__setattr__(self, "theta", check_real(self.theta, "theta", 0.0, 1.0))
-
-    def _require_theta(self) -> float:
-        if self.theta is None:
-            raise DomainError("this bound needs a failure budget theta in (0, 1)")
-        return self.theta
 
 
 @dataclass(frozen=True)
@@ -149,39 +127,63 @@ def _strictly_below(threshold: float) -> int | None:
     return max(n, 0)
 
 
+def _probability_result(
+    bound_id: str, raw: float, status: str, log_raw: float | None
+) -> BoundResult:
+    """A probability bound: raw clamped to [0, 1], with a note when it was negative."""
+    note = "" if raw >= 0.0 else "bound is vacuous here; clamped to 0"
+    return BoundResult(bound_id, min(1.0, max(0.0, raw)), raw, status, log_raw, note=note)
+
+
+def _count_result(bound_id: str, raw: float, status: str, log_raw: float) -> BoundResult:
+    """A count threshold: the raw value and the largest integer strictly below it."""
+    return BoundResult(bound_id, raw, raw, status, log_raw, _strictly_below(raw))
+
+
+def _fisher_status(r: float) -> str:
+    """The Fisher bounds are stated for 0 < r < 1; at r = 0 they still evaluate."""
+    return STATUS_OK if r > 0.0 else STATUS_OUTSIDE
+
+
+def _ldexp_or_inf(x: float, i: int) -> float:
+    try:
+        return math.ldexp(x, i)
+    except OverflowError:
+        return math.inf
+
+
+def _over_power_of_two(count: int, d: int) -> float:
+    """count / 2^d for an integer count >= 0, rounded once; inf past float range.
+
+    A count past float range keeps its top 1023 bits plus a sticky bit for the
+    rest, which rounds to the same float as the whole count would.
+    """
+    shift = max(count.bit_length() - 1023, 0)
+    top = (count >> shift) | (count & ((1 << shift) - 1) != 0)
+    return _ldexp_or_inf(float(top), shift - d)
+
+
+def _linear_lb(bound_id: str, count: int, d: int) -> BoundResult:
+    """max(0, 1 - count / 2^d); holds for every 0 <= r < 1."""
+    raw = 1.0 - _over_power_of_two(count, d)
+    return _probability_result(bound_id, raw, STATUS_OK, math.log(raw) if raw > 0.0 else None)
+
+
 def p1_linear_lb(q: BoundQuery) -> BoundResult:
     """Lower bound on P(one extra point is linearly separable from n others).
 
     value = max(0, 1 - n / 2^d); independent of r.
     """
-    raw = 1.0 - math.ldexp(float(q.n), -q.d)
-    note = "" if raw >= 0.0 else "bound is vacuous here; clamped to 0"
-    return BoundResult(
-        bound_id="p1_linear_lb",
-        value=min(1.0, max(0.0, raw)),
-        raw_value=raw,
-        domain_status=STATUS_OK,
-        log_raw=math.log(raw) if raw > 0.0 else None,
-        note=note,
-    )
+    return _linear_lb("p1_linear_lb", q.n, q.d)
 
 
 def p_linear_lb(q: BoundQuery) -> BoundResult:
     """Lower bound on P(every point of a random n-set is linearly separable).
 
-    value = max(0, 1 - n(n-1) / 2^d); independent of r.
+    value = max(0, 1 - n(n-1) / 2^d); independent of r.  n(n-1) may exceed
+    float range; the quotient is still finite or -inf, never an error.
     """
-    pairs = q.n * (q.n - 1)
-    raw = 1.0 - math.ldexp(float(pairs), -q.d)
-    note = "" if raw >= 0.0 else "bound is vacuous here; clamped to 0"
-    return BoundResult(
-        bound_id="p_linear_lb",
-        value=min(1.0, max(0.0, raw)),
-        raw_value=raw,
-        domain_status=STATUS_OK,
-        log_raw=math.log(raw) if raw > 0.0 else None,
-        note=note,
-    )
+    return _linear_lb("p_linear_lb", q.n * (q.n - 1), q.d)
 
 
 def p1_fisher_lb(q: BoundQuery) -> BoundResult:
@@ -194,14 +196,7 @@ def p1_fisher_lb(q: BoundQuery) -> BoundResult:
     log_half_width = 0.5 * q.d * log_one_minus_r_sq(q.r)
     tail_log = q.n * math.log1p(-0.5 * math.exp(log_half_width))
     log_raw = math.log(shell_mass) + tail_log
-    raw = math.exp(log_raw)
-    return BoundResult(
-        bound_id="p1_fisher_lb",
-        value=min(1.0, max(0.0, raw)),
-        raw_value=raw,
-        domain_status=STATUS_OK if q.r > 0.0 else STATUS_OUTSIDE,
-        log_raw=log_raw,
-    )
+    return _probability_result("p1_fisher_lb", math.exp(log_raw), _fisher_status(q.r), log_raw)
 
 
 def p_fisher_lb(q: BoundQuery) -> BoundResult:
@@ -211,37 +206,23 @@ def p_fisher_lb(q: BoundQuery) -> BoundResult:
     positive, else 0.  The bracket goes negative for small d and large n; the
     clamp is recorded in the note and the signed power kept as raw_value.
     """
-    status = STATUS_OK if q.r > 0.0 else STATUS_OUTSIDE
+    status = _fisher_status(q.r)
     if q.n == 0:
-        return BoundResult("p_fisher_lb", 1.0, 1.0, status, log_raw=0.0)
+        return _probability_result("p_fisher_lb", 1.0, status, 0.0)
     shell_mass = _one_minus_r_pow_d(q.r, q.d)
     half_width = 0.5 * math.exp(0.5 * q.d * log_one_minus_r_sq(q.r))
     crowding = (q.n - 1) * half_width
     if crowding < 1.0:
-        log_base = math.log(shell_mass) + math.log1p(-crowding)
-        log_raw = q.n * log_base
-        raw = math.exp(log_raw)
-        return BoundResult(
-            bound_id="p_fisher_lb",
-            value=min(1.0, max(0.0, raw)),
-            raw_value=raw,
-            domain_status=status,
-            log_raw=log_raw,
-        )
+        log_raw = q.n * (math.log(shell_mass) + math.log1p(-crowding))
+        return _probability_result("p_fisher_lb", math.exp(log_raw), status, log_raw)
     base = shell_mass * (1.0 - crowding)
     if base == 0.0:
         raw = 0.0
     else:
         sign = 1.0 if q.n % 2 == 0 else -1.0
         raw = sign * exp_or_inf(q.n * math.log(-base))
-    return BoundResult(
-        bound_id="p_fisher_lb",
-        value=0.0,
-        raw_value=raw,
-        domain_status=status,
-        log_raw=None,
-        note="inner factor nonpositive; clamped to 0",
-    )
+    return BoundResult("p_fisher_lb", 0.0, raw, status,
+                       note="inner factor nonpositive; clamped to 0")
 
 
 def _log_sqrt_one_plus_exp(a: float) -> float:
@@ -264,94 +245,54 @@ def _eq1_n_fisher(q: BoundQuery) -> BoundResult:
 
     which is evaluated here entirely in logs.  Undefined at r = 0.
     """
-    theta = q._require_theta()
     if q.r == 0.0:
-        return BoundResult(
-            bound_id="eq1_n_fisher",
-            value=math.nan,
-            raw_value=math.nan,
-            domain_status=STATUS_UNDEFINED,
-            note="threshold divides by r; no finite value at r = 0",
-        )
+        return BoundResult("eq1_n_fisher", math.nan, math.nan, STATUS_UNDEFINED,
+                           note="threshold divides by r; no finite value at r = 0")
     log_radius = log_r(q.r)
     log_s = 0.5 * log_one_minus_r_sq(q.r) - 2.0 * log_radius
-    log_numer = math.log(2.0 * theta)
+    log_numer = math.log(2.0 * q.theta)
     log_denom_tail = _log_sqrt_one_plus_exp(log_numer + q.d * log_s)
     log_raw = log_numer - q.d * log_radius - log_denom_tail
-    raw = exp_or_inf(log_raw)
-    return BoundResult(
-        bound_id="eq1_n_fisher",
-        value=raw,
-        raw_value=raw,
-        domain_status=STATUS_OK,
-        log_raw=log_raw,
-        max_admissible_n=_strictly_below(raw),
-    )
+    return _count_result("eq1_n_fisher", exp_or_inf(log_raw), STATUS_OK, log_raw)
 
 
 def _n1_fisher(q: BoundQuery) -> BoundResult:
     """Count threshold n < theta / (1 - r^2)^(d/2)."""
-    theta = q._require_theta()
-    raw = theta * exp_or_inf(-0.5 * q.d * log_one_minus_r_sq(q.r))
-    return BoundResult(
-        bound_id="n1_fisher",
-        value=raw,
-        raw_value=raw,
-        domain_status=STATUS_OK if q.r > 0.0 else STATUS_OUTSIDE,
-        log_raw=math.log(theta) - 0.5 * q.d * log_one_minus_r_sq(q.r),
-        max_admissible_n=_strictly_below(raw),
-    )
+    log_width = 0.5 * q.d * log_one_minus_r_sq(q.r)
+    raw = q.theta * exp_or_inf(-log_width)
+    return _count_result("n1_fisher", raw, _fisher_status(q.r), math.log(q.theta) - log_width)
 
 
 def _n_fisher(q: BoundQuery) -> BoundResult:
     """Count threshold n < sqrt(theta) / (1 - r^2)^(d/4)."""
-    theta = q._require_theta()
-    raw = math.sqrt(theta) * exp_or_inf(-0.25 * q.d * log_one_minus_r_sq(q.r))
-    return BoundResult(
-        bound_id="n_fisher",
-        value=raw,
-        raw_value=raw,
-        domain_status=STATUS_OK if q.r > 0.0 else STATUS_OUTSIDE,
-        log_raw=0.5 * math.log(theta) - 0.25 * q.d * log_one_minus_r_sq(q.r),
-        max_admissible_n=_strictly_below(raw),
-    )
+    log_width = 0.25 * q.d * log_one_minus_r_sq(q.r)
+    raw = math.sqrt(q.theta) * exp_or_inf(-log_width)
+    return _count_result("n_fisher", raw, _fisher_status(q.r),
+                         0.5 * math.log(q.theta) - log_width)
 
 
 def _n1_linear(q: BoundQuery) -> BoundResult:
     """Count threshold n < theta * 2^d; holds for every 0 <= r < 1."""
-    theta = q._require_theta()
-    log_raw = math.log(theta) + q.d * math.log(2.0)
-    try:
-        raw = math.ldexp(theta, q.d)
-    except OverflowError:
-        raw = math.inf
-    return BoundResult(
-        bound_id="n1_linear",
-        value=raw,
-        raw_value=raw,
-        domain_status=STATUS_OK,
-        log_raw=log_raw,
-        max_admissible_n=_strictly_below(raw),
-    )
+    log_raw = math.log(q.theta) + q.d * math.log(2.0)
+    return _count_result("n1_linear", _ldexp_or_inf(q.theta, q.d), STATUS_OK, log_raw)
 
 
 def _n_linear(q: BoundQuery) -> BoundResult:
     """Count threshold n < sqrt(theta * 2^d); holds for every 0 <= r < 1."""
-    theta = q._require_theta()
-    log_raw = 0.5 * (math.log(theta) + q.d * math.log(2.0))
-    try:
-        raw = math.sqrt(math.ldexp(theta, q.d))
-    except OverflowError:
-        raw = exp_or_inf(log_raw)
-    return BoundResult(
-        bound_id="n_linear",
-        value=raw,
-        raw_value=raw,
-        domain_status=STATUS_OK,
-        log_raw=log_raw,
-        max_admissible_n=_strictly_below(raw),
-    )
+    log_raw = 0.5 * (math.log(q.theta) + q.d * math.log(2.0))
+    scaled = _ldexp_or_inf(q.theta, q.d)
+    raw = math.sqrt(scaled) if math.isfinite(scaled) else exp_or_inf(log_raw)
+    return _count_result("n_linear", raw, STATUS_OK, log_raw)
 
+
+# The two dispatch tables are the only list of bound ids; the id tuples below
+# are read from them, in this order.
+_PROBABILITY_DISPATCH = {
+    "p1_linear_lb": p1_linear_lb,
+    "p_linear_lb": p_linear_lb,
+    "p1_fisher_lb": p1_fisher_lb,
+    "p_fisher_lb": p_fisher_lb,
+}
 
 _COUNT_DISPATCH = {
     "eq1_n_fisher": _eq1_n_fisher,
@@ -361,12 +302,9 @@ _COUNT_DISPATCH = {
     "n_linear": _n_linear,
 }
 
-_PROBABILITY_DISPATCH = {
-    "p1_linear_lb": p1_linear_lb,
-    "p_linear_lb": p_linear_lb,
-    "p1_fisher_lb": p1_fisher_lb,
-    "p_fisher_lb": p_fisher_lb,
-}
+PROBABILITY_BOUND_IDS = tuple(_PROBABILITY_DISPATCH)
+COUNT_BOUND_IDS = tuple(_COUNT_DISPATCH)
+BOUND_IDS = PROBABILITY_BOUND_IDS + COUNT_BOUND_IDS
 
 
 def n_admissible(bound_id: str, d: int, r: float, theta: float) -> BoundResult:
@@ -374,12 +312,16 @@ def n_admissible(bound_id: str, d: int, r: float, theta: float) -> BoundResult:
 
     Returns both the real-valued threshold and, in max_admissible_n, the
     largest integer n that satisfies the strict inequality n < threshold.
+    This is the one place the failure budget theta is required.
     """
     if bound_id not in _COUNT_DISPATCH:
         raise DomainError(
             f"unknown count bound {bound_id!r}; expected one of {sorted(_COUNT_DISPATCH)}"
         )
-    return _COUNT_DISPATCH[bound_id](BoundQuery(d=d, r=r, theta=theta))
+    q = BoundQuery(d=d, r=r, theta=theta)
+    if q.theta is None:
+        raise DomainError("this bound needs a failure budget theta in (0, 1)")
+    return _COUNT_DISPATCH[bound_id](q)
 
 
 def evaluate_bound(
@@ -394,5 +336,5 @@ def evaluate_bound(
     if bound_id in _PROBABILITY_DISPATCH:
         return _PROBABILITY_DISPATCH[bound_id](BoundQuery(d=d, r=r, n=n))
     if bound_id in _COUNT_DISPATCH:
-        return _COUNT_DISPATCH[bound_id](BoundQuery(d=d, r=r, theta=theta))
+        return n_admissible(bound_id, d, r, theta)
     raise DomainError(f"unknown bound id {bound_id!r}; expected one of {sorted(BOUND_IDS)}")

@@ -183,6 +183,13 @@ def _cell_bounds(plan: ExperimentPlan, d: int, r: float) -> tuple[float, float]:
     return p_linear_lb(query).value, p_fisher_lb(query).value
 
 
+def _frequency(plan: ExperimentPlan, kind: str, hits: int) -> tuple[float, tuple[float, float]]:
+    """The hit frequency and its interval, or NaNs when the plan does not record ``kind``."""
+    if kind not in plan.check_kinds:
+        return math.nan, (math.nan, math.nan)
+    return hits / plan.trials, frequency_interval(hits, plan.trials)
+
+
 def _run_cell(plan: ExperimentPlan, d: int, r: float, trial_fn) -> ExperimentRecord:
     layer = LayerSpec(d=d, r=r)
     start = time.perf_counter()
@@ -193,22 +200,11 @@ def _run_cell(plan: ExperimentPlan, d: int, r: float, trial_fn) -> ExperimentRec
         outcomes = [trial_fn(plan, layer, t) for t in range(plan.trials)]
     elapsed = 0.0 if plan.deterministic_timing else time.perf_counter() - start
 
-    linear_hits = sum(1 for o in outcomes if o[0])
-    fisher_hits = sum(1 for o in outcomes if o[1])
+    freq_linear, ci_linear = _frequency(plan, "linear", sum(1 for o in outcomes if o[0]))
+    freq_fisher, ci_fisher = _frequency(plan, "fisher", sum(1 for o in outcomes if o[1]))
     lp_calls = sum(o[2] for o in outcomes)
     lp_skipped = sum(o[3] for o in outcomes)
     bound_linear, bound_fisher = _cell_bounds(plan, d, r)
-
-    if "linear" in plan.check_kinds:
-        freq_linear = linear_hits / plan.trials
-        ci_linear = frequency_interval(linear_hits, plan.trials)
-    else:
-        freq_linear, ci_linear = math.nan, (math.nan, math.nan)
-    if "fisher" in plan.check_kinds:
-        freq_fisher = fisher_hits / plan.trials
-        ci_fisher = frequency_interval(fisher_hits, plan.trials)
-    else:
-        freq_fisher, ci_fisher = math.nan, (math.nan, math.nan)
 
     return ExperimentRecord(
         d=d,

@@ -402,18 +402,18 @@ def verify_certificate(
     separable with coefficients: they are nonnegative, sum to 1 within
     tolerance, and reconstruct x within 10 * tol.  Verdicts without a witness
     (vacuous separations, exhaustive oracle proofs, Fisher failures) verify
-    trivially.
+    trivially.  x, others, ``tol`` > 0 and ``eps`` in [0, 1) are validated
+    (DomainError); a witness of the wrong shape or a non-finite normal fails.
     """
-    x = np.asarray(x, dtype=np.float64)
-    others = np.asarray(others, dtype=np.float64)
+    x, others = check_point_set(x, others)
+    tol = check_real(tol, "tol", 0.0, np.inf)
+    eps = check_real(eps, "eps", 0.0, 1.0, low_closed=True)
     if cert.separable and cert.hyperplane is not None:
-        if not cert.margin > 0.0:  # also rejects NaN
-            return False
+        normal = np.asarray(cert.hyperplane, dtype=np.float64)
+        if not (cert.margin > 0.0 and normal.shape == x.shape and np.isfinite(normal).all()):
+            return False  # also rejects a NaN margin
         if len(others) == 0:
             return True
-        normal = np.asarray(cert.hyperplane, dtype=np.float64)
-        if not all(np.isfinite(v).all() for v in (normal, x, others)):
-            return False
         gaps = float(normal @ x) - others @ normal
         band = gap_error_bound(len(x), np.abs(normal).max(), np.abs(x).max(),
                                np.abs(others).max())
@@ -424,7 +424,7 @@ def verify_certificate(
         return _gaps_positive_exactly(normal, x, close)
     if not cert.separable and cert.coefficients is not None:
         lam = np.asarray(cert.coefficients, dtype=np.float64)
-        if lam.shape[0] != len(others) or bool(np.any(lam < 0.0)):
+        if lam.shape != (len(others),) or bool(np.any(lam < 0.0)):
             return False
         if abs(float(lam.sum()) - 1.0) > 1e-7:
             return False

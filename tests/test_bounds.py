@@ -68,6 +68,16 @@ def test_p_linear_high_dimension_oracle():
     assert abs(res.value - 0.9999090596247697) < 5e-16
 
 
+@pytest.mark.parametrize("d", [10, 1330, 2000])
+def test_p_linear_pair_count_past_float_range(d):
+    # n(n-1) = 1e400 has no float; the bound must still evaluate.
+    res = p_linear_lb(BoundQuery(d=d, n=10**200))
+    want = min(1.0, max(0.0, float(mp_p_linear(d, 10**200))))
+    assert abs(res.value - want) < 1e-12
+    assert ("clamped" in res.note) == (res.raw_value < 0.0)
+    assert ("clamped" in res.note) == (d == 10)
+
+
 def test_p1_fisher_closed_forms():
     res = p1_fisher_lb(BoundQuery(d=2, r=0.5, n=1))
     assert rel_err(res.value, 15.0 / 32.0) < 1e-14
@@ -336,7 +346,7 @@ PINNED_DIGEST = "8c769885fd7bbd7b1189d9a51febbc47119570dd2c65243a9a6ab83caac2342
 
 def test_bound_results_pinned():
     """Every field of every result, and every error message, on a fixed grid
-    hashes to the digest taken before the formula layer was refactored."""
+    hashes to one pinned digest, so no float, note or message can drift."""
     digest = hashlib.sha256()
     for bound_id in (*BOUND_IDS, "no_such_bound"):
         for d in PINNED_D:

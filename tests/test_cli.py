@@ -129,6 +129,13 @@ def test_bounds_single_result_printed(capsys):
     assert "domain_status=ok" in line
 
 
+def test_bounds_pair_count_past_float_range(capsys):
+    assert main(["bounds", "--id", "p_linear_lb", "--d", "10", "--n", str(10**200)]) == EXIT_OK
+    line = capsys.readouterr().out
+    assert "value=0 raw_value=-inf" in line
+    assert "clamped to 0" in line
+
+
 def test_bound_curviness_clamp_threshold(tmp_path):
     dest = tmp_path / "curves.csv"
     emit_bound_curves(("p1_linear_lb",), tuple(range(1, 41)), (0.0,), 10000, None, str(dest))

@@ -693,6 +693,55 @@ def test_separable_certificate_needs_positive_margin(margin):
     assert not verify_certificate(cert, np.zeros(2), np.zeros((0, 2)))
 
 
+# x = (1, 0) against y = 0: the normal (1, 0) separates with gap 1, not 5
+OVERCLAIM = SeparabilityCertificate("separable", "lp", 5.0, hyperplane=np.array([1.0, 0.0]))
+OVERCLAIM_X, OVERCLAIM_OTHERS = np.array([1.0, 0.0]), np.zeros((1, 2))
+
+
+@pytest.mark.parametrize("eps", [math.nan, 2.0, 1.0, -0.5])
+def test_recheck_rejects_eps_outside_unit_interval(eps):
+    assert not verify_certificate(OVERCLAIM, OVERCLAIM_X, OVERCLAIM_OTHERS)
+    with pytest.raises(DomainError):
+        verify_certificate(OVERCLAIM, OVERCLAIM_X, OVERCLAIM_OTHERS, eps=eps)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, "x"])
+def test_recheck_rejects_bad_tolerance(tol):
+    with pytest.raises(DomainError):
+        verify_certificate(OVERCLAIM, OVERCLAIM_X, OVERCLAIM_OTHERS, tol=tol)
+
+
+@pytest.mark.parametrize("x, others", [
+    (np.array([1.0, 0.0]), np.zeros((1, 3))),
+    (np.array([[1.0, 0.0]]), np.zeros((1, 2))),
+    (np.array([math.nan, 0.0]), np.zeros((1, 2))),
+    (np.array([1.0, 0.0]), np.array([[math.inf, 0.0]])),
+])
+def test_recheck_validates_the_point_set(x, others):
+    with pytest.raises(DomainError):
+        verify_certificate(OVERCLAIM, x, others)
+
+
+@pytest.mark.parametrize("normal", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]], [math.nan, 0.0]])
+def test_recheck_rejects_malformed_normals(normal):
+    for others in (OVERCLAIM_OTHERS, np.zeros((0, 2))):
+        cert = SeparabilityCertificate("separable", "lp", 0.5, hyperplane=np.array(normal))
+        assert not verify_certificate(cert, OVERCLAIM_X, others)
+    cert = SeparabilityCertificate("separable", "lp", 0.5, hyperplane=np.array([1.0, 0.0]))
+    assert verify_certificate(cert, OVERCLAIM_X, OVERCLAIM_OTHERS)
+
+
+@pytest.mark.parametrize("coefficients", [1.0, [[1.0]], [0.5, 0.5]])
+def test_recheck_rejects_malformed_coefficients(coefficients):
+    # x = 0 is the single point of others, so only the shape is wrong
+    x, others = np.zeros(2), np.zeros((1, 2))
+    cert = SeparabilityCertificate("not_separable", "lp", 0.0,
+                                   coefficients=np.array(coefficients))
+    assert not verify_certificate(cert, x, others)
+    cert = SeparabilityCertificate("not_separable", "lp", 0.0, coefficients=np.array([1.0]))
+    assert verify_certificate(cert, x, others)
+
+
 def test_certificates_recheck_on_random_clouds():
     rng = np.random.default_rng(31)
     for trial in range(20):
