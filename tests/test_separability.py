@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -590,6 +591,38 @@ def test_exact_oracle_matches_fraction_reference():
             assert l2 <= 2.0**-52 * math.sqrt(len(x)) * np.abs(others).max()
             assert affine_gap <= 2.0**-52
     assert verdicts == {"separable", "not_separable"}
+
+
+def criterion_2_shaped_queries(count=300, seed=59):
+    """(x, others) shaped like criterion 2: d 1-4, k 1-12, r 0 or 0.5, every
+    tenth query a point of its own set."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d, k = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        r = float(rng.choice((0.0, 0.5)))
+        pts = sample_layer(LayerSpec(d=d, r=r), k + 1, seed=int(rng.integers(2**63))).points
+        x, others = pts[-1], pts[:-1]
+        if i % 10 == 0:
+            x = others[int(rng.integers(k))].copy()
+        yield x, others
+
+
+# sha256 of every oracle certificate below, taken from the enumeration-only oracle
+PINNED_ORACLE_DIGEST = "853a78ca2c4e710c20d73a582aea5fdc31cea98e5a7c4f1b1443d4053244da04"
+
+
+def test_exact_oracle_certificates_pinned():
+    # verdict, method, margin and coefficient bytes; any change to how the
+    # oracle decides must leave each of them as it was
+    instances = [*criterion_2_shaped_queries(),
+                 *((x, others) for x, others, _ in exact_oracle_instances())]
+    digest = hashlib.sha256()
+    for x, others in instances:
+        cert = exact_point_vs_set(np.asarray(x, dtype=np.float64),
+                                  np.asarray(others, dtype=np.float64))
+        coefficients = b"-" if cert.coefficients is None else cert.coefficients.tobytes()
+        digest.update(repr((cert.verdict, cert.method, cert.margin)).encode() + coefficients + b"\n")
+    assert digest.hexdigest() == PINNED_ORACLE_DIGEST
 
 
 MALFORMED_PAIRS = {
