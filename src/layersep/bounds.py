@@ -244,6 +244,12 @@ def _eq1_n_fisher(q: BoundQuery) -> BoundResult:
         n < 2 theta / (r^d * (sqrt(1 + 2 theta s^d) + 1)),   s = sqrt(1-r^2)/r^2,
 
     which is evaluated here entirely in logs.  Undefined at r = 0.
+
+    For huge d and tiny r, ``-d log r`` and the log of the denominator's tail
+    overflow, and their difference is not finite.  There the two are combined
+    first: with t = 2 theta s^d, ``log(1 + sqrt(1 + t)) = log(t) / 2 +
+    asinh(t^(-1/2))``, so the threshold's log is ``log(2 theta) / 2 -
+    d log(1 - r^2) / 4 - asinh(t^(-1/2))``, in which ``d log r`` cancels.
     """
     if q.r == 0.0:
         return BoundResult("eq1_n_fisher", math.nan, math.nan, STATUS_UNDEFINED,
@@ -251,8 +257,11 @@ def _eq1_n_fisher(q: BoundQuery) -> BoundResult:
     log_radius = log_r(q.r)
     log_s = 0.5 * log_one_minus_r_sq(q.r) - 2.0 * log_radius
     log_numer = math.log(2.0 * q.theta)
-    log_denom_tail = _log_sqrt_one_plus_exp(log_numer + q.d * log_s)
-    log_raw = log_numer - q.d * log_radius - log_denom_tail
+    log_t = log_numer + q.d * log_s
+    log_raw = log_numer - q.d * log_radius - _log_sqrt_one_plus_exp(log_t)
+    if not math.isfinite(log_raw):
+        log_raw = (0.5 * log_numer - 0.25 * q.d * log_one_minus_r_sq(q.r)
+                   - math.asinh(exp_or_inf(-0.5 * log_t)))
     return _count_result("eq1_n_fisher", exp_or_inf(log_raw), STATUS_OK, log_raw)
 
 

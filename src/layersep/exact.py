@@ -1,9 +1,26 @@
 """Exact hull-membership oracle for small instances, in integer arithmetic.
 
-Decides ``X in conv(M)`` with no floating-point tolerance at all.  X is in the
-hull iff some subset of at most d+1 points of M contains it in its convex hull
-(Caratheodory), and each subset is settled by solving its barycentric linear
-system exactly.
+Decides ``X in conv(M)`` with no floating-point tolerance at all, in two
+stages, after the input checks and the enumeration guard below.
+
+Proof of separation.  A normal A with ``(A, X - Y) > 0`` for every Y in M
+proves ``X not in conv(M)``: were ``X = sum(lam_j Y_j)`` with lam >= 0 summing
+to 1, then ``0 = (A, X - X) = sum(lam_j (A, X - Y_j)) > 0``.  Candidates come
+from floats: the Fisher normal A = X, then the normal after each of at most
+``PERCEPTRON_STEPS`` perceptron steps ``A <- A + (X - Y*) / 2``, with Y* the
+point of largest ``(A, Y)``.  The search runs on a copy scaled by the power of
+two that brings the largest coordinate below 1, so no product overflows.  It
+only proposes: a candidate whose float gaps are not all > 0 is skipped, and
+one whose float gaps are counts only if every gap is positive in exact integer
+arithmetic (:func:`layersep.dyadic.gaps_positive_exactly`).  Rounding can cost
+a proof but never fake one.  A separable verdict carries no witness, so its
+certificate is the same whichever stage decides.
+
+Enumeration.  Otherwise X is in the hull iff some subset of at most d+1 points
+of M contains it in its convex hull (Caratheodory), and each subset is settled
+by solving its barycentric linear system exactly.  No proof exists for a point
+of the hull, so a ``not_separable`` certificate always comes from the first
+such subset, smallest size first and in lexicographic order.
 
 The system is solved on integers.  One common power of two makes every
 coordinate of X and M an exact Python int (:mod:`layersep.dyadic`).  Only the
@@ -35,10 +52,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .dyadic import scaled_to_integers
+from .dyadic import gaps_positive_exactly, scaled_to_integers
 from .errors import EnumerationLimitError, check_int, check_point_set
 from .geometry import PointCloud
-from .separability import SeparabilityCertificate, others_of
+from .separability import PERCEPTRON_STEPS, SeparabilityCertificate, others_of
 
 __all__ = ["exact_oracle_point", "exact_point_vs_set", "MAX_SUBSETS"]
 
@@ -47,7 +64,8 @@ MAX_SUBSETS = 2_000_000
 
 
 def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> SeparabilityCertificate:
-    """Exact hull membership of ``x`` in ``conv(others)`` by enumeration.
+    """Exact hull membership of ``x`` in ``conv(others)``: a proved separating
+    normal, else Caratheodory enumeration.
 
     Raises DomainError unless x is a finite point of shape (d,), others a
     finite set of shape (k, d) and ``max_subsets`` an integer >= 1, and
@@ -65,7 +83,11 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
             f"enumeration of {total} subsets exceeds the guard ({max_subsets}); "
             f"instance m={m}, d={d} is too large for the exact oracle"
         )
-    target, *points = scaled_to_integers([x.tolist(), *others.tolist()])
+    x_list, others_list = x.tolist(), others.tolist()
+    if any(gaps_positive_exactly(normal, x_list, others_list)
+           for normal in _candidate_normals(x_list, others_list)):
+        return SeparabilityCertificate("separable", "exact_oracle", 0.0)
+    target, *points = scaled_to_integers([x_list, *others_list])
     for k in range(1, k_max + 1):
         for subset in combinations(range(m), k):
             solution = _barycentric_if_inside(target, [points[j] for j in subset])
@@ -84,6 +106,35 @@ def exact_oracle_point(i: int, cloud: PointCloud, max_subsets: int = MAX_SUBSETS
     """Exact verdict for point i of a cloud versus all the others."""
     i = check_int(i, "point index", 0, cloud.n)
     return exact_point_vs_set(cloud.points[i], others_of(cloud.points, i), max_subsets)
+
+
+def _candidate_normals(x: list[float], others: list[list[float]]):
+    """Float normals A whose computed gaps (A, x) - (A, y) are all > 0, as lists.
+
+    The Fisher normal A = x first, then the normal after each perceptron step.
+    Scaling by a power of two is exact (into the subnormal range it drops bits,
+    which only changes what is proposed).  With every coordinate below 1, each
+    step adds at most 1 to max|A|, so every candidate and product is finite.
+    The search runs on Python floats: on instances this small they beat
+    numpy's per-call cost, and they hold the GIL, where ``np.argmax`` drops it
+    on every call and so hands it back and forth between threads that run the
+    oracle side by side.  A point in R^0 has exponent 0 and no candidate.
+    """
+    exponent = math.frexp(max((abs(v) for row in (x, *others) for v in row), default=0.0))[1]
+    x = [math.ldexp(v, -exponent) for v in x]
+    others = [[math.ldexp(v, -exponent) for v in y] for y in others]
+    normal = x
+    for _ in range(PERCEPTRON_STEPS):
+        products = [_dot(normal, y) for y in others]
+        top = _dot(normal, x)
+        if all(top - product > 0.0 for product in products):
+            yield normal
+        far = others[products.index(max(products))]
+        normal = [a + 0.5 * (xk - yk) for a, xk, yk in zip(normal, x, far)]
+
+
+def _dot(a: list[float], b: list[float]) -> float:
+    return sum(ak * bk for ak, bk in zip(a, b))
 
 
 def _barycentric_if_inside(target, columns):

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import scaled_to_integers
+from .dyadic import gaps_positive_exactly
 from .errors import LPStallError, check_int, check_point_set, check_real
 from .geometry import PointCloud
 from .lp import solve_standard_form
@@ -421,7 +421,7 @@ def verify_certificate(
         if np.any(gaps < claimed - band):
             return False
         close = others[~(gaps > band)]  # also takes the NaN of overflowed products
-        return _gaps_positive_exactly(normal, x, close)
+        return gaps_positive_exactly(normal.tolist(), x.tolist(), close.tolist())
     if not cert.separable and cert.coefficients is not None:
         lam = np.asarray(cert.coefficients, dtype=np.float64)
         if lam.shape != (len(others),) or bool(np.any(lam < 0.0)):
@@ -432,11 +432,3 @@ def verify_certificate(
         return bool(np.linalg.norm(recon - x) <= 10.0 * tol)
     return cert.hyperplane is None and cert.coefficients is None
 
-
-def _gaps_positive_exactly(normal: np.ndarray, x: np.ndarray, others: np.ndarray) -> bool:
-    """(A, x - y) > 0 for every row y of ``others``, in exact integer arithmetic."""
-    if len(others) == 0:
-        return True
-    (a,) = scaled_to_integers([normal.tolist()])
-    xs, *ys = scaled_to_integers([x.tolist(), *others.tolist()])
-    return all(sum(ak * (xk - yk) for ak, xk, yk in zip(a, xs, y)) > 0 for y in ys)

@@ -95,9 +95,13 @@ def mp_n_linear(d, theta):
         return mp.sqrt(_mpf(theta) * mp.power(2, d))
 
 
-def mp_eq1_admissible(d, r, theta):
-    """Stabilized admissible-count form 2T / (r^d (sqrt(1 + 2T s^d) + 1)), s = sqrt(1-r^2)/r^2."""
-    with mp.workdps(DPS):
+def mp_eq1_admissible(d, r, theta, dps=DPS):
+    """Stabilized admissible-count form 2T / (r^d (sqrt(1 + 2T s^d) + 1)), s = sqrt(1-r^2)/r^2.
+
+    r^d and s^d cancel, and each carries a relative rounding error about d
+    times the working precision, so a d near 10^k needs ``dps`` beyond k + 20.
+    """
+    with mp.workdps(dps):
         r, theta = _mpf(r), _mpf(theta)
         s = mp.sqrt(1 - r**2) / r**2
         return 2 * theta / (r**d * (mp.sqrt(1 + 2 * theta * s**d) + 1))

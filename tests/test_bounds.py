@@ -225,6 +225,19 @@ def test_eq1_literal_form_agreement_and_overflow():
     assert compared >= 20 and overflowed >= 10
 
 
+@pytest.mark.parametrize("d, r, theta", [(10**307, 1e-300, 0.5), (10**307, 1e-300, 0.01),
+                                         (10**306, 1e-200, 0.3)],
+                         ids=["d1e307-r1e-300", "d1e307-r1e-300-theta0.01", "d1e306-r1e-200"])
+def test_eq1_finite_where_both_log_terms_overflow(d, r, theta):
+    # -d log r and the log of the denominator both overflow to +inf here; the
+    # threshold itself is about sqrt(2 theta) (1 - r^2)^(-d/4), close to sqrt(2 theta)
+    res = n_admissible("eq1_n_fisher", d=d, r=r, theta=theta)
+    assert res.domain_status == "ok"
+    assert rel_err(res.value, mp_eq1_admissible(d, r, theta, dps=360)) < 1e-12
+    assert res.log_raw == pytest.approx(0.5 * math.log(2.0 * theta), abs=1e-12)
+    assert res.max_admissible_n == 0
+
+
 def test_eq1_undefined_at_zero_inner_radius():
     res = n_admissible("eq1_n_fisher", d=12, r=0.0, theta=0.3)
     assert res.domain_status == "undefined"

@@ -1,10 +1,11 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from layersep import separability
+from layersep import exact, separability
 from layersep.errors import DomainError, EnumerationLimitError, LPStallError
 from layersep.exact import exact_oracle_point, exact_point_vs_set
 from layersep.geometry import LayerSpec, PointCloud, sample_layer
@@ -624,6 +625,54 @@ def test_exact_oracle_certificates_pinned():
         digest.update(repr((cert.verdict, cert.method, cert.margin)).encode() + coefficients + b"\n")
     assert digest.hexdigest() == PINNED_ORACLE_DIGEST
 
+
+def test_exact_oracle_proof_needs_exact_gaps():
+    # X is the exact midpoint of (p, q) and (q, p), so it is in their hull and
+    # no normal separates it, yet both float Fisher gaps (X, X - Y) round to a
+    # positive number: a proof stage that trusted float gaps would say separable
+    rng = np.random.default_rng(97)
+    for _ in range(10_000):
+        p, q = rng.random(2)
+        x = np.full(2, (p + q) / 2)
+        others = np.array([[p, q], [q, p]])
+        if (2 * Fraction(x[0]) == Fraction(p) + Fraction(q)
+                and np.all(x @ x - others @ x > 0.0)
+                and fisher_point_vs_set(x, others).separable):
+            break
+    else:
+        pytest.fail("no midpoint with positive float Fisher gaps found")
+    cert = exact_point_vs_set(x, others)
+    verdict, coefficients = oracles.fraction_hull_oracle(x, others)
+    assert cert.verdict == verdict == "not_separable"
+    assert cert.coefficients.tobytes() == coefficients.tobytes()
+
+
+def test_exact_oracle_enumerates_only_what_the_proof_leaves(monkeypatch):
+    calls = []
+    solve = exact._barycentric_if_inside
+
+    def counted(target, columns):
+        calls.append(len(columns))
+        return solve(target, columns)
+
+    monkeypatch.setattr(exact, "_barycentric_if_inside", counted)
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    # Fisher-separable: (X, X) = 2 > (X, Y) for every Y, so no subset is solved
+    assert exact_point_vs_set(np.array([1.0, 1.0]), triangle).verdict == "separable"
+    assert calls == []
+    # inside the triangle: 3 single points, 3 pairs, then the triangle itself
+    cert = exact_point_vs_set(np.array([0.25, 0.25]), triangle)
+    assert cert.verdict == "not_separable"
+    assert cert.coefficients.tolist() == [0.5, 0.25, 0.25]
+    assert calls == [1, 1, 1, 2, 2, 2, 3]
+
+
+
+def test_exact_oracle_zero_dimensional_point():
+    # R^0 holds one point, so X is in the hull and the first single point witnesses it
+    cert = exact_point_vs_set(np.zeros(0), np.zeros((3, 0)))
+    assert cert.verdict == "not_separable"
+    assert cert.coefficients.tolist() == [1.0, 0.0, 0.0]
 
 MALFORMED_PAIRS = {
     "set_wider_than_point": ([0.5, 0.0], [[0.0, 0.0, 5.0], [1.0, 0.0, -5.0]]),
