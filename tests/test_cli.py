@@ -1,5 +1,6 @@
 """CLI surface: grammar, exit codes, and bit-exact CSV emission."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -379,3 +380,50 @@ def test_grid_parser_tuples(d_text, d_values, r_text, r_values):
     assert opts["r_values"] == r_values
     assert all(type(d) is int for d in opts["d_values"])
     assert all(type(r) is float for r in opts["r_values"])
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+PINNED_POINTS = {
+    # 3-d shell sample: some points interior, so the set checks fail
+    "sampled.csv": None,
+    # the last row lies inside the diamond of the first four
+    "diamond.csv": "x1,x2\n0.9,0\n0,0.9\n-0.9,0\n0,-0.9\n0.1,0.2\n",
+}
+PINNED_EXPERIMENT = ("--d", "1,4,12", "--r", "0,0.8", "--n", "30", "--trials", "5",
+                     "--seed", "7")
+PINNED_CALLS = (
+    *(["check", "--input", name, "--mode", mode, "--kind", kind]
+      for name in PINNED_POINTS
+      for mode in ("point", "set")
+      for kind in ("linear", "fisher", "both")),
+    ["bounds", "--id", "p_linear_lb", "--d", "10", "--n", str(10**200)],  # note
+    ["bounds", "--id", "n_fisher", "--d", "30", "--r", "0.5", "--theta", "0.01"],
+    ["bounds", "--id", "eq1_n_fisher", "--d", "30", "--r", "0", "--theta", "0.01"],
+    # d=0 and r=1 rows carry domain_status=error
+    ["bounds", "--id", "all", "--d", "0,2,40", "--r", "0,0.5,1", "--n", "1000",
+     "--theta", "0.01"],
+    *(["asymptotics", "--op", "classify", "--r", r, "--context", context]
+      for r in ("0.75", "0.5")
+      for context in ("fisher_count", "count_ratio", "set_gap")),
+    ["sample", "--d", "2", "--r", "0.5", "--n", "5", "--seed", "3"],
+    *(["experiment", "--mode", mode, *PINNED_EXPERIMENT, "--kinds", kinds]
+      for mode in ("point", "set")
+      for kinds in ("linear,fisher", "fisher", "linear")),
+)
+CLI_PINNED_DIGEST = "ff02b245f1f31878da128c548f97d680d210f2db3c80872272034e0e76624039"
+
+
+def test_cli_outputs_pinned(tmp_path, monkeypatch, capsys):
+    """The exit code and stdout of a fixed set of invocations hash to one
+    pinned digest, so no change to the renderers can move an emitted byte."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--d", "3", "--r", "0.3", "--n", "12", "--seed", "4",
+                 "--output", "sampled.csv"]) == EXIT_OK
+    (tmp_path / "diamond.csv").write_text(PINNED_POINTS["diamond.csv"], encoding="utf-8")
+    digest = hashlib.sha256()
+    for argv in PINNED_CALLS:
+        code = main(argv)
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == CLI_PINNED_DIGEST
