@@ -18,17 +18,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
 from . import asymptotics as asymptotics_mod
 from .bounds import BOUND_IDS, COUNT_BOUND_IDS, evaluate_bound
 from .errors import DomainError, EnumerationLimitError, LPStallError, check_int, check_real
-from .experiments import ExperimentPlan, run_experiment
+from .experiments import ExperimentPlan, ExperimentRecord, run_experiment
 from .geometry import LayerSpec, PointCloud, sample_layer
 from .separability import (
     DEFAULT_TOL,
@@ -48,6 +50,7 @@ __all__ = [
     "RunConfig",
     "parse_args",
     "emit_records",
+    "read_records",
     "emit_bound_curves",
     "main",
     "entrypoint",
@@ -58,11 +61,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_LP = 4
 
-RECORD_HEADER = (
-    "d,r,n,trials,freq_linear,ci_linear_low,ci_linear_high,"
-    "freq_fisher,ci_fisher_low,ci_fisher_high,bound_linear,bound_fisher,"
-    "wall_time_seconds,lp_calls,lp_skipped_by_fisher"
-)
+RECORD_HEADER = ",".join(f.name for f in dataclasses.fields(ExperimentRecord))
 BOUND_CURVE_HEADER = "bound_id,d,r,n,theta,value,domain_status"
 
 DEFAULT_R_GRID = "0,0.5,0.8,0.9"
@@ -83,6 +82,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _text(value) -> str:
+    """One emitted value: floats by ``_fmt``, None as an empty field, anything
+    else (ints, names) as ``str`` gives it."""
+    if value is None:
+        return ""
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _row(values) -> str:
+    return ",".join(map(_text, values)) + "\n"
+
+
+def _line(**fields) -> str:
+    """A ``key=value`` report line."""
+    return " ".join(f"{key}={_text(value)}" for key, value in fields.items()) + "\n"
+
+
 def _parse_grid(text: str, kind) -> tuple:
     """Values of ``kind`` (int or float) from a comma list of entries, each a
     value or an inclusive ``start:stop:step`` range."""
@@ -95,7 +111,8 @@ def _parse_grid(text: str, kind) -> tuple:
         if len(parts) not in (1, 3):
             raise DomainError(f"range must be start:stop:step, got {chunk!r}")
         try:
-            numbers = [kind(part) for part in parts]
+            # "+ 0" folds -0.0 into 0.0: one radius, one rendering
+            numbers = [kind(part) + 0 for part in parts]
         except ValueError:
             raise DomainError(f"expected {kind.__name__} values, got {chunk!r}") from None
         if len(numbers) == 1:
@@ -143,28 +160,28 @@ def emit_records(records, destination) -> None:
     with _open_dest(destination) as out:
         out.write(RECORD_HEADER + "\n")
         for rec in rows:
-            out.write(
-                ",".join(
-                    (
-                        str(rec.d),
-                        _fmt(rec.r),
-                        str(rec.n),
-                        str(rec.trials),
-                        _fmt(rec.freq_linear),
-                        _fmt(rec.ci_linear[0]),
-                        _fmt(rec.ci_linear[1]),
-                        _fmt(rec.freq_fisher),
-                        _fmt(rec.ci_fisher[0]),
-                        _fmt(rec.ci_fisher[1]),
-                        _fmt(rec.bound_linear),
-                        _fmt(rec.bound_fisher),
-                        _fmt(rec.wall_time_seconds),
-                        str(rec.lp_calls),
-                        str(rec.lp_skipped_by_fisher),
-                    )
-                )
-                + "\n"
-            )
+            out.write(_row(dataclasses.astuple(rec)))
+
+
+def read_records(path) -> list[ExperimentRecord]:
+    """Parse a record CSV back into the records it was written from.  The file
+    is outside input: a header other than RECORD_HEADER, a row with the wrong
+    number of fields or a value that does not parse raises DomainError."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        header, *rows = handle.read().splitlines() or [""]
+    if header != RECORD_HEADER:
+        raise DomainError(f"{path}: the first line is not the record header")
+    kinds = get_type_hints(ExperimentRecord).values()
+    records = []
+    for lineno, row in enumerate(rows, start=2):
+        cells = row.split(",")
+        if len(cells) != len(kinds):
+            raise DomainError(f"{path}:{lineno}: {len(cells)} fields, expected {len(kinds)}")
+        try:
+            records.append(ExperimentRecord(*(kind(cell) for kind, cell in zip(kinds, cells))))
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 def emit_bound_curves(bound_ids, d_values, r_values, n, theta, destination) -> None:
@@ -178,8 +195,7 @@ def emit_bound_curves(bound_ids, d_values, r_values, n, theta, destination) -> N
         out.write(BOUND_CURVE_HEADER + "\n")
         for bound_id in bound_ids:
             is_count = bound_id in COUNT_BOUND_IDS
-            n_field = "" if is_count else str(n)
-            theta_field = _fmt(theta) if is_count else ""
+            n_field, theta_field = (None, theta) if is_count else (n, None)
             for r in r_values:
                 for d in d_values:
                     try:
@@ -187,10 +203,7 @@ def emit_bound_curves(bound_ids, d_values, r_values, n, theta, destination) -> N
                         value, status = res.value, res.domain_status
                     except DomainError:
                         value, status = math.nan, "error"
-                    out.write(
-                        f"{bound_id},{d},{_fmt(r)},{n_field},{theta_field},"
-                        f"{_fmt(value)},{status}\n"
-                    )
+                    out.write(_row((bound_id, d, r, n_field, theta_field, value, status)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +355,9 @@ def _run_sample(cfg: RunConfig) -> None:
     layer, n = cfg.options["layer"], cfg.options["n"]
     cloud = sample_layer(layer, n, cfg.options["seed"])
     with _open_dest(cfg.output_path) as out:
-        out.write(",".join(f"x{i + 1}" for i in range(layer.d)) + "\n")
+        out.write(_row(f"x{i + 1}" for i in range(layer.d)))
         for row in cloud.points:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.write(_row(row))
 
 
 def _read_point_matrix(source) -> np.ndarray:
@@ -392,81 +405,55 @@ def _run_check(cfg: RunConfig) -> None:
         query, others = pts[-1], pts[:-1]
         if "fisher" in kinds:
             cert = fisher_point_vs_set(query, others)
-            out.write(f"kind=fisher separable={str(cert.separable).lower()}\n")
+            out.write(_line(kind="fisher", separable=str(cert.separable).lower()))
         if "linear" in kinds:
             cert = lp_point_vs_set(query, others, tol=tol)
-            out.write(
-                f"kind=linear separable={str(cert.separable).lower()}"
-                f" margin={_fmt(cert.margin)}\n"
-            )
+            out.write(_line(kind="linear", separable=str(cert.separable).lower(),
+                            margin=cert.margin))
         return
     cloud = PointCloud(layer=LayerSpec(d=pts.shape[1], r=0.0), points=pts, seed=0)
     if "fisher" in kinds:
         report = fisher_separable_set(cloud, verdict_only=True)
-        first = "" if report.first_failure is None else str(report.first_failure)
-        out.write(
-            f"kind=fisher all_separable={str(report.all_separable).lower()}"
-            f" first_failure={first}\n"
-        )
+        out.write(_line(kind="fisher", all_separable=str(report.all_separable).lower(),
+                        first_failure=report.first_failure))
     if "linear" in kinds:
         report = linearly_separable_set(cloud, tol=tol, verdict_only=True)
-        first = "" if report.first_failure is None else str(report.first_failure)
-        out.write(
-            f"kind=linear all_separable={str(report.all_separable).lower()}"
-            f" first_failure={first} lp_calls={report.lp_calls}"
-            f" lp_skipped_by_fisher={report.lp_skipped_by_fisher}\n"
-        )
-
-
-def _format_bound_line(res, d, r, n, theta) -> str:
-    is_count = res.bound_id in COUNT_BOUND_IDS
-    parts = [
-        f"bound_id={res.bound_id}",
-        f"d={d}",
-        f"r={_fmt(r)}",
-        f"theta={_fmt(theta)}" if is_count else f"n={n}",
-        f"value={_fmt(res.value)}",
-        f"raw_value={_fmt(res.raw_value)}",
-        f"domain_status={res.domain_status}",
-    ]
-    if is_count:
-        admissible = "" if res.max_admissible_n is None else str(res.max_admissible_n)
-        parts.append(f"max_admissible_n={admissible}")
-    if res.note:
-        parts.append(f'note="{res.note}"')
-    return " ".join(parts)
+        out.write(_line(kind="linear", all_separable=str(report.all_separable).lower(),
+                        first_failure=report.first_failure, lp_calls=report.lp_calls,
+                        lp_skipped_by_fisher=report.lp_skipped_by_fisher))
 
 
 def _run_bounds(cfg: RunConfig) -> None:
     o = cfg.options
     single = len(o["ids"]) == 1 and len(o["d_values"]) == 1 and len(o["r_values"]) == 1
     if single and cfg.output_path == "-":
-        res = evaluate_bound(
-            o["ids"][0], d=o["d_values"][0], r=o["r_values"][0], n=o["n"], theta=o["theta"]
-        )
-        sys.stdout.write(
-            _format_bound_line(res, o["d_values"][0], o["r_values"][0], o["n"], o["theta"])
-            + "\n"
-        )
+        (bound_id,), (d,), (r,) = o["ids"], o["d_values"], o["r_values"]
+        res = evaluate_bound(bound_id, d=d, r=r, n=o["n"], theta=o["theta"])
+        is_count = bound_id in COUNT_BOUND_IDS
+        param = {"theta": o["theta"]} if is_count else {"n": o["n"]}
+        extra = {"max_admissible_n": res.max_admissible_n} if is_count else {}
+        if res.note:
+            extra["note"] = f'"{res.note}"'
+        sys.stdout.write(_line(bound_id=bound_id, d=d, r=r, **param, value=res.value,
+                               raw_value=res.raw_value, domain_status=res.domain_status,
+                               **extra))
         return
     emit_bound_curves(
         o["ids"], o["d_values"], o["r_values"], o["n"], o["theta"], cfg.output_path
     )
 
 
-def _value_fields(v) -> str:
-    return f"regime={v.regime.regime} value={_fmt(v.value)} log_value={_fmt(v.log_value)}"
+def _value_fields(v) -> dict:
+    return dict(regime=v.regime.regime, value=v.value, log_value=v.log_value)
 
 
-def _ratio_fields(law) -> str:
-    return (
-        f"regime={law.regime.regime} exact={_fmt(law.exact)} approximant={_fmt(law.approximant)}"
-        f" limit_value={_fmt(law.limit_value)} limit_tag={law.limit_tag}"
-    )
+def _ratio_fields(law) -> dict:
+    return dict(regime=law.regime.regime, exact=law.exact, approximant=law.approximant,
+                limit_value=law.limit_value, limit_tag=law.limit_tag)
 
 
-def _gap_fields(gap) -> str:
-    return f"gap={_fmt(gap[0])} log_gap={_fmt(gap[1])}"
+def _gap_fields(gap) -> dict:
+    return dict(gap=gap[0], log_gap=gap[1])
 
 
 # op -> (the parameter it takes besides r and d, the fields of its result).
@@ -488,18 +475,14 @@ def _run_asymptotics(cfg: RunConfig) -> None:
     out = sys.stdout
     if op == "classify":
         regime = asymptotics_mod.classify_radius(r, o["context"])
-        out.write(
-            f"op=classify context={regime.context} r={_fmt(r)}"
-            f" regime={regime.regime} critical_value={_fmt(regime.critical_value)}\n"
-        )
+        out.write(_line(op="classify", context=regime.context, r=r, regime=regime.regime,
+                        critical_value=regime.critical_value))
         return
     param, fields = _ASYMPTOTIC_LAWS[op]
-    value = o[param]
-    shown = _fmt(value) if param == "theta" else value
+    value = {param: o[param]}
     law = getattr(asymptotics_mod, op)
     for d in o["d_values"]:
-        result = law(r=r, d=d, **{param: value})
-        out.write(f"op={op} d={d} r={_fmt(r)} {param}={shown} {fields(result)}\n")
+        out.write(_line(op=op, d=d, r=r, **value, **fields(law(r=r, d=d, **value))))
 
 
 def _run_experiment(cfg: RunConfig) -> None:

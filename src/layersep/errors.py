@@ -47,7 +47,8 @@ def check_int(value, name: str, low: int, high: int | None = None) -> int:
 
 def check_real(value, name: str, low: float, high: float, low_closed: bool = False) -> float:
     """``value`` as a float in ``(low, high)``, or ``[low, high)`` when
-    ``low_closed``; NaN and non-numbers raise DomainError."""
+    ``low_closed``; NaN and non-numbers raise DomainError.  -0.0 comes back
+    as 0.0, so one real has one float (and one seed stream keyed on its bits)."""
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -56,7 +57,7 @@ def check_real(value, name: str, low: float, high: float, low_closed: bool = Fal
         raise DomainError(
             f"{name} must lie in {'[' if low_closed else '('}{low}, {high}), got {value!r}"
         )
-    return number
+    return number + 0.0
 
 
 def check_point_set(x, others) -> tuple[np.ndarray, np.ndarray]:

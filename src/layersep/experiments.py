@@ -52,8 +52,8 @@ class ExperimentPlan:
     Attributes:
         mode: 'point_level' (one extra point vs an n-cloud) or 'set_level'
             (the whole n-cloud at once).
-        d_values: dimensions to sweep.
-        r_values: inner radii to sweep.
+        d_values: dimensions to sweep, stored sorted without repeats.
+        r_values: inner radii to sweep, stored sorted without repeats.
         n: cloud size per trial.
         trials: trials per (d, r) cell.
         master_seed: 64-bit root of every RNG stream in the run.
@@ -79,8 +79,9 @@ class ExperimentPlan:
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
         # every (d, r) cell is a valid LayerSpec exactly when every d and every r is
-        d_values = tuple(LayerSpec(d=d, r=0.0).d for d in self.d_values)
-        r_values = tuple(LayerSpec(d=1, r=r).r for r in self.r_values)
+        # stored sorted and without repeats, so cells run in the order they are emitted
+        d_values = tuple(sorted({LayerSpec(d=d, r=0.0).d for d in self.d_values}))
+        r_values = tuple(sorted({LayerSpec(d=1, r=r).r for r in self.r_values}))
         if not d_values or not r_values:
             raise DomainError("d and r grids must be non-empty")
         object.__setattr__(self, "d_values", d_values)
@@ -101,16 +102,19 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One grid cell's results: frequencies, intervals, bounds, accounting."""
+    """One grid cell's results: frequencies, Wilson intervals, bounds,
+    accounting.  The fields, in order, are the columns of the record CSV."""
 
     d: int
     r: float
     n: int
     trials: int
     freq_linear: float
+    ci_linear_low: float
+    ci_linear_high: float
     freq_fisher: float
-    ci_linear: tuple[float, float]
-    ci_fisher: tuple[float, float]
+    ci_fisher_low: float
+    ci_fisher_high: float
     bound_linear: float
     bound_fisher: float
     wall_time_seconds: float
@@ -183,11 +187,11 @@ def _cell_bounds(plan: ExperimentPlan, d: int, r: float) -> tuple[float, float]:
     return p_linear_lb(query).value, p_fisher_lb(query).value
 
 
-def _frequency(plan: ExperimentPlan, kind: str, hits: int) -> tuple[float, tuple[float, float]]:
-    """The hit frequency and its interval, or NaNs when the plan does not record ``kind``."""
+def _frequency(plan: ExperimentPlan, kind: str, hits: int) -> tuple[float, float, float]:
+    """The hit frequency and interval ends, or NaNs when the plan does not record ``kind``."""
     if kind not in plan.check_kinds:
-        return math.nan, (math.nan, math.nan)
-    return hits / plan.trials, frequency_interval(hits, plan.trials)
+        return math.nan, math.nan, math.nan
+    return (hits / plan.trials, *frequency_interval(hits, plan.trials))
 
 
 def _run_cell(plan: ExperimentPlan, d: int, r: float, trial_fn) -> ExperimentRecord:
@@ -200,26 +204,12 @@ def _run_cell(plan: ExperimentPlan, d: int, r: float, trial_fn) -> ExperimentRec
         outcomes = [trial_fn(plan, layer, t) for t in range(plan.trials)]
     elapsed = 0.0 if plan.deterministic_timing else time.perf_counter() - start
 
-    freq_linear, ci_linear = _frequency(plan, "linear", sum(1 for o in outcomes if o[0]))
-    freq_fisher, ci_fisher = _frequency(plan, "fisher", sum(1 for o in outcomes if o[1]))
-    lp_calls = sum(o[2] for o in outcomes)
-    lp_skipped = sum(o[3] for o in outcomes)
-    bound_linear, bound_fisher = _cell_bounds(plan, d, r)
-
     return ExperimentRecord(
-        d=d,
-        r=r,
-        n=plan.n,
-        trials=plan.trials,
-        freq_linear=freq_linear,
-        freq_fisher=freq_fisher,
-        ci_linear=ci_linear,
-        ci_fisher=ci_fisher,
-        bound_linear=bound_linear,
-        bound_fisher=bound_fisher,
-        wall_time_seconds=elapsed,
-        lp_calls=lp_calls,
-        lp_skipped_by_fisher=lp_skipped,
+        d, r, plan.n, plan.trials,
+        *_frequency(plan, "linear", sum(1 for o in outcomes if o[0])),
+        *_frequency(plan, "fisher", sum(1 for o in outcomes if o[1])),
+        *_cell_bounds(plan, d, r),
+        elapsed, sum(o[2] for o in outcomes), sum(o[3] for o in outcomes),
     )
 
 

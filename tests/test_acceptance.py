@@ -57,7 +57,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _half_width(rec) -> float:
-    return 0.5 * (rec.ci_linear[1] - rec.ci_linear[0])
+    return 0.5 * (rec.ci_linear_high - rec.ci_linear_low)
 
 
 # criterion 1 ---------------------------------------------------------------
@@ -374,26 +374,11 @@ C9_TRIALS = 40
 C9_THRESHOLD = 0.95
 
 
-def _crossing(rows, kind):
-    for d, freqs in rows:
-        if freqs[kind] >= C9_THRESHOLD:
-            return d
+def _crossing(rows, freq_field):
+    for rec in rows:
+        if getattr(rec, freq_field) >= C9_THRESHOLD:
+            return rec.d
     return None
-
-
-def _parse_record_csv(path):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    cells = {}
-    for line in lines[1:]:
-        f = line.split(",")
-        d, r = int(f[0]), float(f[1])
-        cells.setdefault(r, []).append(
-            (d, {"linear": float(f[4]), "fisher": float(f[7]),
-                 "bound": float(f[10]), "half": 0.5 * (float(f[6]) - float(f[5]))})
-        )
-    for rows in cells.values():
-        rows.sort()
-    return cells
 
 
 def test_criterion_09_default_plan_curves(tmp_path):
@@ -401,7 +386,7 @@ def test_criterion_09_default_plan_curves(tmp_path):
     reaches 0.95, linear crosses strictly before Fisher for some r, and no
     record dips below bound minus Wilson half-width.  The full n=10000 sweep
     is the documented long-running target in the README, not a gated test."""
-    from layersep.cli import emit_records
+    from layersep.cli import emit_records, read_records
 
     r_grid = (0.0, 0.5, 0.8, 0.9)
     reached, strict_wins, violations = [], [], 0
@@ -411,16 +396,16 @@ def test_criterion_09_default_plan_curves(tmp_path):
                               master_seed=SEED, workers=4, deterministic_timing=True)
         dest = tmp_path / f"{mode}.csv"
         emit_records(run_experiment(plan), str(dest))
-        cells = _parse_record_csv(dest)
+        records = read_records(dest)  # rows sorted by (r, d)
         for r in r_grid:
-            rows = [(d, f) for d, f in cells[r]]
-            lin = _crossing(rows, "linear")
-            fis = _crossing(rows, "fisher")
+            rows = [rec for rec in records if rec.r == r]
+            lin = _crossing(rows, "freq_linear")
+            fis = _crossing(rows, "freq_fisher")
             reached.append(lin is not None and fis is not None)
             if lin is not None and fis is not None and lin < fis:
                 strict_wins.append((mode, r, lin, fis))
             violations += sum(
-                1 for _, f in rows if f["linear"] < f["bound"] - f["half"]
+                1 for rec in rows if rec.freq_linear < rec.bound_linear - _half_width(rec)
             )
     _report(
         9,

@@ -18,8 +18,9 @@ from layersep.cli import (
     emit_records,
     main,
     parse_args,
+    read_records,
 )
-from layersep.errors import LPStallError
+from layersep.errors import DomainError, LPStallError
 from layersep.experiments import ExperimentPlan, run_experiment
 
 
@@ -197,11 +198,10 @@ def test_emit_records_schema_and_order(tmp_path):
     assert text.endswith("\n")
     lines = text.splitlines()
     assert lines[0] == RECORD_HEADER
+    assert len(RECORD_HEADER.split(",")) == 15
     assert len(lines) == 5
-    keys = [(float(l.split(",")[1]), int(l.split(",")[0])) for l in lines[1:]]
+    keys = [(rec.r, rec.d) for rec in read_records(dest)]  # 15 fields a row
     assert keys == sorted(keys)  # rows sorted by (r, d)
-    for line in lines[1:]:
-        assert len(line.split(",")) == 15
 
 
 def test_emit_records_empty_and_repeatable(tmp_path):
@@ -218,20 +218,66 @@ def test_record_csv_round_trip_bit_exact(tmp_path):
     records = small_records()
     dest = tmp_path / "rt.csv"
     emit_records(records, str(dest))
-    lines = dest.read_text(encoding="utf-8").splitlines()[1:]
-    by_key = {(rec.r, rec.d): rec for rec in records}
-    assert len(lines) == len(by_key)
-    for line in lines:
-        f = line.split(",")
-        rec = by_key[(float(f[1]), int(f[0]))]
-        assert int(f[2]) == rec.n and int(f[3]) == rec.trials
-        assert float(f[4]) == rec.freq_linear
-        assert float(f[5]) == rec.ci_linear[0] and float(f[6]) == rec.ci_linear[1]
-        assert float(f[7]) == rec.freq_fisher
-        assert float(f[8]) == rec.ci_fisher[0] and float(f[9]) == rec.ci_fisher[1]
-        assert float(f[10]) == rec.bound_linear and float(f[11]) == rec.bound_fisher
-        assert float(f[12]) == rec.wall_time_seconds
-        assert int(f[13]) == rec.lp_calls and int(f[14]) == rec.lp_skipped_by_fisher
+    assert read_records(dest) == sorted(records, key=lambda rec: (rec.r, rec.d))
+
+
+@pytest.mark.parametrize("kinds", ["linear,fisher", "fisher", "linear"])
+@pytest.mark.parametrize("mode", ["point", "set"])
+def test_read_records_reemits_the_same_bytes(tmp_path, mode, kinds):
+    # NaN columns (the kind a plan does not record) included
+    source, again = tmp_path / "source.csv", tmp_path / "again.csv"
+    assert main(["experiment", "--mode", mode, *PINNED_EXPERIMENT, "--kinds", kinds,
+                 "--output", str(source)]) == EXIT_OK
+    emit_records(read_records(source), str(again))
+    assert again.read_bytes() == source.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "d,r,n\n",
+        RECORD_HEADER.replace("d,r", "r,d") + "\n",
+        RECORD_HEADER + "\n3,0.5,10,4\n",
+        RECORD_HEADER + "\n" + ",".join(["1"] * 16) + "\n",
+        RECORD_HEADER + "\n3.5" + ",1" * 14 + "\n",
+        RECORD_HEADER + "\n3,half" + ",1" * 13 + "\n",
+    ],
+)
+def test_read_records_rejects_malformed_files(tmp_path, text):
+    source = tmp_path / "bad.csv"
+    source.write_text(text, encoding="utf-8")
+    with pytest.raises(DomainError):
+        read_records(source)
+
+
+def test_negative_zero_radius_is_zero(tmp_path, capsys):
+    # -0.0 == 0.0, but trial seeds key on the bits of r and the renderer keeps
+    # the sign: a radius of -0 used to run other trials and print "-0"
+    plain, signed = small_records(r_values=(0.0,)), small_records(r_values=(-0.0,))
+    assert signed == plain
+    plain_csv, signed_csv = tmp_path / "plain.csv", tmp_path / "signed.csv"
+    emit_records(plain, str(plain_csv))
+    emit_records(signed, str(signed_csv))
+    assert signed_csv.read_bytes() == plain_csv.read_bytes()
+    for argv in (experiment_argv(), ["bounds", "--id", "p1_linear_lb", "--d", "3"]):
+        outputs = []
+        for r_text in ("0", "-0", "-0:0.5:1"):
+            assert main([*argv, f"--r={r_text}"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[2] == outputs[0]
+        assert ",0," in outputs[0] or " r=0 " in outputs[0]
+
+
+def test_repeated_grid_entries_run_once(tmp_path):
+    dests = []
+    for d_text in ("4,10,10", "10,4"):
+        dests.append(tmp_path / f"d{len(dests)}.csv")
+        argv = ["experiment", "--mode", "point", "--d", d_text, "--r", "0.5,0,0.5",
+                "--n", "10", "--trials", "3", "--seed", "5", "--output", str(dests[-1])]
+        assert main(argv) == EXIT_OK
+    assert dests[0].read_bytes() == dests[1].read_bytes()
+    assert len(read_records(dests[0])) == 4
 
 
 def test_experiment_cli_byte_identical_across_workers(tmp_path):

@@ -15,8 +15,8 @@ from layersep.experiments import (
 from layersep.geometry import LayerSpec, sample_layer
 
 
-def half_width(record_ci):
-    return 0.5 * (record_ci[1] - record_ci[0])
+def half_width(record):
+    return 0.5 * (record.ci_linear_high - record.ci_linear_low)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,16 @@ def test_plan_validation():
     assert canonical.check_kinds == CHECK_KINDS
 
 
+def test_plan_grids_sorted_without_repeats():
+    # cells run in the order they are emitted, and a repeated entry runs once
+    plan = base_plan(d_values=(8, 3, 8), r_values=(0.5, 0.0, 0.5, -0.0))
+    assert plan.d_values == (3, 8)
+    assert plan.r_values == (0.0, 0.5)
+    assert [(rec.r, rec.d) for rec in run_experiment(plan)] == [
+        (0.0, 3), (0.0, 8), (0.5, 3), (0.5, 8)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # point-level runs
 
@@ -114,7 +124,7 @@ def test_point_level_high_dimension_always_separable():
     (record,) = run_experiment(plan)
     assert record.freq_linear == 1.0
     assert record.bound_linear == 1.0 - 100.0 / 2.0**30
-    assert record.freq_linear >= record.bound_linear - half_width(record.ci_linear)
+    assert record.freq_linear >= record.bound_linear - half_width(record)
     assert record.lp_calls + record.lp_skipped_by_fisher == plan.trials
 
 
@@ -125,7 +135,7 @@ def test_point_level_one_dimensional():
     (record,) = run_experiment(plan)
     assert record.bound_linear == 0.0  # 1 - 50/2 clamps
     assert record.freq_fisher <= record.freq_linear <= 0.2
-    assert record.freq_linear >= record.bound_linear - half_width(record.ci_linear)
+    assert record.freq_linear >= record.bound_linear - half_width(record)
 
 
 def test_point_level_dominance_accounting_and_brackets():
@@ -134,8 +144,8 @@ def test_point_level_dominance_accounting_and_brackets():
     assert len(records) == 4  # 2 dims x 2 radii
     for record in records:
         assert record.freq_fisher <= record.freq_linear
-        assert record.ci_linear[0] <= record.freq_linear <= record.ci_linear[1]
-        assert record.ci_fisher[0] <= record.freq_fisher <= record.ci_fisher[1]
+        assert record.ci_linear_low <= record.freq_linear <= record.ci_linear_high
+        assert record.ci_fisher_low <= record.freq_fisher <= record.ci_fisher_high
         assert record.lp_calls + record.lp_skipped_by_fisher == plan.trials
         assert record.wall_time_seconds >= 0.0
         assert record.n == plan.n and record.trials == plan.trials
@@ -150,7 +160,7 @@ def test_set_level_high_dimension_all_vertices():
     (record,) = run_experiment(plan)
     assert record.freq_linear == 1.0
     assert record.bound_linear == 1.0 - 1000.0 * 999.0 / 2.0**40
-    assert record.freq_linear >= record.bound_linear - half_width(record.ci_linear)
+    assert record.freq_linear >= record.bound_linear - half_width(record)
 
 
 def test_set_level_plane_never_all_vertices():

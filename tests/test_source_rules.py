@@ -128,3 +128,26 @@ def test_only_the_sampler_builds_unchecked_clouds():
         if _builds_unchecked_cloud(node)
     ]
     assert not found, f"PointCloud built without its checks outside {SAMPLER_MODULE}: {found}"
+
+
+FLOAT_SPEC = ".17g"  # the round-trippable rendering of every emitted real
+
+
+def test_one_float_rendering():
+    # every emitted real goes through cli._fmt; a second spelling of the
+    # format could drift from it and break the bit-exact round trip of a CSV
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    found = [
+        (path.name, lineno)
+        for path in sources
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if FLOAT_SPEC in line
+    ]
+    fmt = next(node for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_fmt")
+    assert len(found) == 1, f"{FLOAT_SPEC!r} spelled {len(found)} times: {found}"
+    (name, lineno), = found
+    assert name == "cli.py" and fmt.lineno <= lineno <= fmt.end_lineno, (
+        f"{FLOAT_SPEC!r} outside cli._fmt: {name}:{lineno}"
+    )
