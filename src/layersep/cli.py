@@ -11,7 +11,8 @@ Grids accept comma lists and inclusive ``start:stop:step`` ranges, mixed
 freely ("1:10:1,20,40").  All reals are rendered with 17 significant digits,
 so every emitted CSV parses back bit-exactly.
 
-Exit codes: 0 success, 2 usage error, 3 domain error, 4 LP diagnostic.
+Exit codes: 0 success, 1 I/O error (an unreadable input or unwritable
+output), 2 usage error, 3 domain error, 4 LP diagnostic.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import dataclasses
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import get_type_hints
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "EXIT_LP",
     "RECORD_HEADER",
     "BOUND_CURVE_HEADER",
-    "RunConfig",
     "parse_args",
     "emit_records",
     "read_records",
@@ -67,14 +66,6 @@ BOUND_CURVE_HEADER = "bound_id,d,r,n,theta,value,domain_status"
 DEFAULT_R_GRID = "0,0.5,0.8,0.9"
 DEFAULT_D_GRID = {"point": "1:60:1", "set": "1:80:1"}
 DEFAULT_N = {"point": 10000, "set": 1000}
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation: subcommand, its options, and the sink."""
-
-    subcommand: str
-    options: dict = field(default_factory=dict)
-    output_path: str = "-"
 
 
 def _fmt(x: float) -> str:
@@ -141,16 +132,12 @@ def _parse_grid(text: str, kind) -> tuple:
 
 @contextmanager
 def _open_dest(destination):
-    if hasattr(destination, "write"):
-        yield destination
-    elif destination is None or destination == "-":
+    """``destination`` is a file path, or "-" for stdout."""
+    if destination == "-":
         yield sys.stdout
-    else:
-        handle = open(destination, "w", encoding="utf-8", newline="")
-        try:
-            yield handle
-        finally:
-            handle.close()
+        return
+    with open(destination, "w", encoding="utf-8", newline="") as handle:
+        yield handle
 
 
 def emit_records(records, destination) -> None:
@@ -210,11 +197,12 @@ def emit_bound_curves(bound_ids, d_values, r_values, n, theta, destination) -> N
 # parsing
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     """Parse and validate one CLI invocation.
 
     Every option is checked against the target module's preconditions here,
-    before any work starts; violations exit with a usage error (code 2).
+    before any work starts; violations exit with a usage error (code 2).  The
+    namespace carries the validated values and ``run``, its subcommand's runner.
     """
     parser = argparse.ArgumentParser(
         prog="layersep",
@@ -224,6 +212,7 @@ def parse_args(argv) -> RunConfig:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_sample = sub.add_parser("sample", help="draw points, emit coordinate CSV")
+    p_sample.set_defaults(run=_run_sample)
     p_sample.add_argument("--d", required=True, type=int, help="dimension")
     p_sample.add_argument("--r", type=float, default=0.0, help="inner radius in [0,1)")
     p_sample.add_argument("--n", required=True, type=int, help="number of points")
@@ -231,6 +220,7 @@ def parse_args(argv) -> RunConfig:
     p_sample.add_argument("--output", default="-", help="file path or - for stdout")
 
     p_check = sub.add_parser("check", help="separability verdicts for a coordinate CSV")
+    p_check.set_defaults(run=_run_check)
     p_check.add_argument("--input", required=True, help="CSV of points, or - for stdin")
     p_check.add_argument("--mode", choices=("point", "set"), default="set",
                          help="point: last row vs the rest; set: every point vs the rest")
@@ -238,6 +228,7 @@ def parse_args(argv) -> RunConfig:
     p_check.add_argument("--tol", type=float, default=DEFAULT_TOL, help="LP margin tolerance")
 
     p_bounds = sub.add_parser("bounds", help="evaluate bounds on a (d, r) grid")
+    p_bounds.set_defaults(run=_run_bounds)
     p_bounds.add_argument("--id", required=True,
                           help=f"comma list from {', '.join(BOUND_IDS)}, or all")
     p_bounds.add_argument("--d", required=True, help="dimension grid")
@@ -248,6 +239,7 @@ def parse_args(argv) -> RunConfig:
     p_bounds.add_argument("--output", default="-", help="file path or - for stdout")
 
     p_asym = sub.add_parser("asymptotics", help="evaluate one asymptotic law over d")
+    p_asym.set_defaults(run=_run_asymptotics)
     p_asym.add_argument("--op", required=True, choices=(*_ASYMPTOTIC_LAWS, "classify"))
     p_asym.add_argument("--d", default="1", help="dimension grid (ignored by classify)")
     p_asym.add_argument("--r", required=True, type=float, help="inner radius")
@@ -257,6 +249,7 @@ def parse_args(argv) -> RunConfig:
                         default=None, help="which critical radius classify uses")
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo plan, emit record CSV")
+    p_exp.set_defaults(run=_run_experiment)
     p_exp.add_argument("--mode", required=True, choices=("point", "set"))
     p_exp.add_argument("--d", default=None,
                        help="dimension grid (default 1:60:1 point, 1:80:1 set)")
@@ -275,93 +268,88 @@ def parse_args(argv) -> RunConfig:
 
     ns = parser.parse_args(argv)
     try:
-        return _config(ns, parser.error)
+        _validate(ns, parser.error)
     except DomainError as exc:
         parser.error(str(exc))  # prints usage, names the flag, exits 2
+    return ns
 
 
-def _config(ns, fail) -> RunConfig:
-    """Validate parsed arguments: a bad value raises DomainError, a missing or
-    unknown option calls ``fail``."""
+def _validate(ns, fail) -> None:
+    """Validate parsed arguments in place, each under its option's name or in
+    ``ns.layer`` (sample) and ``ns.plan`` (experiment): a bad value raises
+    DomainError, a missing or unknown option calls ``fail``."""
     if ns.subcommand == "sample":
-        seed = check_int(ns.seed, "--seed", 0, 2**64)
-        layer = LayerSpec(d=ns.d, r=ns.r)
-        n = check_int(ns.n, "--n", 0)
-        return RunConfig("sample", {"layer": layer, "n": n, "seed": seed}, ns.output)
+        ns.seed = check_int(ns.seed, "--seed", 0, 2**64)
+        ns.layer = LayerSpec(d=ns.d, r=ns.r)
+        ns.n = check_int(ns.n, "--n", 0)
 
-    if ns.subcommand == "check":
-        tol = check_real(ns.tol, "--tol", 0.0, math.inf)
-        kinds = ("linear", "fisher") if ns.kind == "both" else (ns.kind,)
-        return RunConfig(
-            "check",
-            {"input": ns.input, "mode": ns.mode, "kinds": kinds, "tol": tol},
-        )
+    elif ns.subcommand == "check":
+        ns.tol = check_real(ns.tol, "--tol", 0.0, math.inf)
+        ns.kind = ("linear", "fisher") if ns.kind == "both" else (ns.kind,)
 
-    if ns.subcommand == "bounds":
-        ids = BOUND_IDS if ns.id == "all" else tuple(s.strip() for s in ns.id.split(","))
-        for bound_id in ids:
+    elif ns.subcommand == "bounds":
+        ns.id = BOUND_IDS if ns.id == "all" else tuple(s.strip() for s in ns.id.split(","))
+        for bound_id in ns.id:
             if bound_id not in BOUND_IDS:
                 fail(f"unknown bound id {bound_id!r}; expected one of {', '.join(BOUND_IDS)}")
-        d_values = _parse_grid(ns.d, int)
-        r_values = _parse_grid(ns.r, float)
-        n = check_int(ns.n, "--n", 0)
-        needs_theta = [b for b in ids if b in COUNT_BOUND_IDS]
+        ns.d = _parse_grid(ns.d, int)
+        ns.r = _parse_grid(ns.r, float)
+        ns.n = check_int(ns.n, "--n", 0)
+        needs_theta = [b for b in ns.id if b in COUNT_BOUND_IDS]
         if needs_theta and ns.theta is None:
             fail(f"--theta is required for count bounds ({', '.join(needs_theta)})")
-        theta = None if ns.theta is None else check_real(ns.theta, "--theta", 0.0, 1.0)
-        return RunConfig(
-            "bounds",
-            {"ids": ids, "d_values": d_values, "r_values": r_values, "n": n, "theta": theta},
-            ns.output,
-        )
+        ns.theta = None if ns.theta is None else check_real(ns.theta, "--theta", 0.0, 1.0)
 
-    if ns.subcommand == "asymptotics":
-        d_values = _parse_grid(ns.d, int)
+    elif ns.subcommand == "asymptotics":
+        ns.d = _parse_grid(ns.d, int)
         param = _ASYMPTOTIC_LAWS[ns.op][0] if ns.op in _ASYMPTOTIC_LAWS else "context"
         if getattr(ns, param) is None:
             fail(f"--{param} is required for {ns.op}")
-        return RunConfig(
-            "asymptotics",
-            {"op": ns.op, "d_values": d_values, "r": ns.r, "theta": ns.theta,
-             "n": ns.n, "context": ns.context},
-        )
 
-    # experiment
-    seed = check_int(ns.seed, "--seed", 0, 2**64)
-    mode = {"point": "point_level", "set": "set_level"}[ns.mode]
-    d_text = ns.d if ns.d is not None else DEFAULT_D_GRID[ns.mode]
-    n = ns.n if ns.n is not None else DEFAULT_N[ns.mode]
-    kinds = tuple(s.strip() for s in ns.kinds.split(",") if s.strip())
-    plan = ExperimentPlan(
-        mode=mode,
-        d_values=_parse_grid(d_text, int),
-        r_values=_parse_grid(ns.r, float),
-        n=n,
-        trials=ns.trials,
-        master_seed=seed,
-        tol=ns.tol,
-        check_kinds=kinds,
-        workers=ns.workers,
-        deterministic_timing=not ns.measure_timing,
-    )
-    return RunConfig("experiment", {"plan": plan}, ns.output)
+    else:  # experiment
+        seed = check_int(ns.seed, "--seed", 0, 2**64)
+        mode = {"point": "point_level", "set": "set_level"}[ns.mode]
+        d_text = ns.d if ns.d is not None else DEFAULT_D_GRID[ns.mode]
+        n = ns.n if ns.n is not None else DEFAULT_N[ns.mode]
+        kinds = tuple(s.strip() for s in ns.kinds.split(",") if s.strip())
+        ns.plan = ExperimentPlan(
+            mode=mode,
+            d_values=_parse_grid(d_text, int),
+            r_values=_parse_grid(ns.r, float),
+            n=n,
+            trials=ns.trials,
+            master_seed=seed,
+            tol=ns.tol,
+            check_kinds=kinds,
+            workers=ns.workers,
+            deterministic_timing=not ns.measure_timing,
+        )
 
 
 # ---------------------------------------------------------------------------
 # subcommand runners
 
 
-def _run_sample(cfg: RunConfig) -> None:
-    layer, n = cfg.options["layer"], cfg.options["n"]
-    cloud = sample_layer(layer, n, cfg.options["seed"])
-    with _open_dest(cfg.output_path) as out:
-        out.write(_row(f"x{i + 1}" for i in range(layer.d)))
+def _run_sample(ns) -> None:
+    cloud = sample_layer(ns.layer, ns.n, ns.seed)
+    with _open_dest(ns.output) as out:
+        out.write(_row(f"x{i + 1}" for i in range(ns.layer.d)))
         for row in cloud.points:
             out.write(_row(row))
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_point_matrix(source) -> np.ndarray:
-    """Parse a coordinate CSV: optional header, one point per row."""
+    """Parse a coordinate CSV: one point per row, after an optional header
+    whose cells are all text (a first row that mixes numbers and text is a
+    malformed point, not a header)."""
     if source == "-":
         rows = list(csv.reader(sys.stdin))
     else:
@@ -370,12 +358,10 @@ def _read_point_matrix(source) -> np.ndarray:
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
         raise DomainError(f"no data rows in {source!r}")
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
+    if not any(map(_is_number, rows[0])):
         rows = rows[1:]  # header line
         if not rows:
-            raise DomainError(f"only a header in {source!r}") from None
+            raise DomainError(f"only a header in {source!r}")
     width = len(rows[0])
     data = []
     for idx, row in enumerate(rows):
@@ -388,8 +374,8 @@ def _read_point_matrix(source) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
-def _run_check(cfg: RunConfig) -> None:
-    pts = _read_point_matrix(cfg.options["input"])
+def _run_check(ns) -> None:
+    pts = _read_point_matrix(ns.input)
     if not np.all(np.isfinite(pts)):
         raise DomainError("input points must be finite")
     # Both checks are invariant under uniform positive scaling, so data that
@@ -397,40 +383,38 @@ def _run_check(cfg: RunConfig) -> None:
     max_norm = float(np.linalg.norm(pts, axis=1).max())
     if max_norm > 1.0:
         pts = pts / max_norm
-    kinds, tol = cfg.options["kinds"], cfg.options["tol"]
     out = sys.stdout
-    if cfg.options["mode"] == "point":
+    if ns.mode == "point":
         if pts.shape[0] < 2:
             raise DomainError("point mode needs at least 2 rows (last row is the query)")
         query, others = pts[-1], pts[:-1]
-        if "fisher" in kinds:
+        if "fisher" in ns.kind:
             cert = fisher_point_vs_set(query, others)
             out.write(_line(kind="fisher", separable=str(cert.separable).lower()))
-        if "linear" in kinds:
-            cert = lp_point_vs_set(query, others, tol=tol)
+        if "linear" in ns.kind:
+            cert = lp_point_vs_set(query, others, tol=ns.tol)
             out.write(_line(kind="linear", separable=str(cert.separable).lower(),
                             margin=cert.margin))
         return
     cloud = PointCloud(layer=LayerSpec(d=pts.shape[1], r=0.0), points=pts, seed=0)
-    if "fisher" in kinds:
+    if "fisher" in ns.kind:
         report = fisher_separable_set(cloud, verdict_only=True)
         out.write(_line(kind="fisher", all_separable=str(report.all_separable).lower(),
                         first_failure=report.first_failure))
-    if "linear" in kinds:
-        report = linearly_separable_set(cloud, tol=tol, verdict_only=True)
+    if "linear" in ns.kind:
+        report = linearly_separable_set(cloud, tol=ns.tol, verdict_only=True)
         out.write(_line(kind="linear", all_separable=str(report.all_separable).lower(),
                         first_failure=report.first_failure, lp_calls=report.lp_calls,
                         lp_skipped_by_fisher=report.lp_skipped_by_fisher))
 
 
-def _run_bounds(cfg: RunConfig) -> None:
-    o = cfg.options
-    single = len(o["ids"]) == 1 and len(o["d_values"]) == 1 and len(o["r_values"]) == 1
-    if single and cfg.output_path == "-":
-        (bound_id,), (d,), (r,) = o["ids"], o["d_values"], o["r_values"]
-        res = evaluate_bound(bound_id, d=d, r=r, n=o["n"], theta=o["theta"])
+def _run_bounds(ns) -> None:
+    single = len(ns.id) == 1 and len(ns.d) == 1 and len(ns.r) == 1
+    if single and ns.output == "-":
+        (bound_id,), (d,), (r,) = ns.id, ns.d, ns.r
+        res = evaluate_bound(bound_id, d=d, r=r, n=ns.n, theta=ns.theta)
         is_count = bound_id in COUNT_BOUND_IDS
-        param = {"theta": o["theta"]} if is_count else {"n": o["n"]}
+        param = {"theta": ns.theta} if is_count else {"n": ns.n}
         extra = {"max_admissible_n": res.max_admissible_n} if is_count else {}
         if res.note:
             extra["note"] = f'"{res.note}"'
@@ -438,9 +422,7 @@ def _run_bounds(cfg: RunConfig) -> None:
                                raw_value=res.raw_value, domain_status=res.domain_status,
                                **extra))
         return
-    emit_bound_curves(
-        o["ids"], o["d_values"], o["r_values"], o["n"], o["theta"], cfg.output_path
-    )
+    emit_bound_curves(ns.id, ns.d, ns.r, ns.n, ns.theta, ns.output)
 
 
 def _value_fields(v) -> dict:
@@ -469,53 +451,42 @@ _ASYMPTOTIC_LAWS = {
 }
 
 
-def _run_asymptotics(cfg: RunConfig) -> None:
-    o = cfg.options
-    op, r = o["op"], o["r"]
+def _run_asymptotics(ns) -> None:
     out = sys.stdout
-    if op == "classify":
-        regime = asymptotics_mod.classify_radius(r, o["context"])
-        out.write(_line(op="classify", context=regime.context, r=r, regime=regime.regime,
+    if ns.op == "classify":
+        regime = asymptotics_mod.classify_radius(ns.r, ns.context)
+        out.write(_line(op="classify", context=regime.context, r=ns.r, regime=regime.regime,
                         critical_value=regime.critical_value))
         return
-    param, fields = _ASYMPTOTIC_LAWS[op]
-    value = {param: o[param]}
-    law = getattr(asymptotics_mod, op)
-    for d in o["d_values"]:
-        out.write(_line(op=op, d=d, r=r, **value, **fields(law(r=r, d=d, **value))))
+    param, fields = _ASYMPTOTIC_LAWS[ns.op]
+    value = {param: getattr(ns, param)}
+    law = getattr(asymptotics_mod, ns.op)
+    for d in ns.d:
+        out.write(_line(op=ns.op, d=d, r=ns.r, **value, **fields(law(r=ns.r, d=d, **value))))
 
 
-def _run_experiment(cfg: RunConfig) -> None:
-    records = run_experiment(cfg.options["plan"])
-    emit_records(records, cfg.output_path)
-
-
-_RUNNERS = {
-    "sample": _run_sample,
-    "check": _run_check,
-    "bounds": _run_bounds,
-    "asymptotics": _run_asymptotics,
-    "experiment": _run_experiment,
-}
+def _run_experiment(ns) -> None:
+    records = run_experiment(ns.plan)
+    emit_records(records, ns.output)
 
 
 def main(argv=None) -> int:
     """Run one invocation; returns the process exit code."""
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
+        ns = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code is None else int(exc.code)
     try:
-        _RUNNERS[cfg.subcommand](cfg)
+        ns.run(ns)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (LPStallError, EnumerationLimitError) as exc:
         print(f"LP diagnostic: {exc}", file=sys.stderr)
         return EXIT_LP
-    except OSError as exc:
-        target = getattr(exc, "filename", None) or cfg.output_path
-        print(f"write failed for {target}: {exc}", file=sys.stderr)
+    except OSError as exc:  # an input that cannot be read or an output not written
+        target = exc.filename or getattr(ns, "output", "-")
+        print(f"I/O error on {target}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return EXIT_OK
 

@@ -37,7 +37,7 @@ def check_int(value, name: str, low: int, high: int | None = None) -> int:
         number = int(value) if float(value).is_integer() else None
     except (TypeError, ValueError, OverflowError):
         number = None
-    if isinstance(value, bool) or number is None or number < low or (
+    if isinstance(value, (bool, np.bool_)) or number is None or number < low or (
         high is not None and number >= high
     ):
         span = f">= {low}" if high is None else f"in [{low}, {high})"

@@ -36,7 +36,7 @@ def experiment_argv(*extra):
 def test_range_grammar_int():
     cfg = parse_args(["experiment", "--mode", "set", "--d", "5:80:5",
                       "--r", "0,0.5,0.9", "--n", "12", "--trials", "2", "--seed", "42"])
-    plan = cfg.options["plan"]
+    plan = cfg.plan
     assert plan.d_values == tuple(range(5, 81, 5))
     assert plan.d_values[-1] == 80  # stop is inclusive
     assert plan.r_values == (0.0, 0.5, 0.9)
@@ -46,26 +46,26 @@ def test_range_grammar_int():
 def test_range_grammar_mixed_and_float_snapping():
     cfg = parse_args(["bounds", "--id", "p1_linear_lb", "--d", "1:4:1,10,40",
                       "--r", "0:0.9:0.1", "--n", "100"])
-    assert cfg.options["d_values"] == (1, 2, 3, 4, 10, 40)
-    assert cfg.options["r_values"] == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    assert cfg.d == (1, 2, 3, 4, 10, 40)
+    assert cfg.r == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def test_scalar_radius_parses_verbatim():
     cfg = parse_args(["bounds", "--id", "p1_fisher_lb", "--d", "5",
                       "--r", "0.8660254037844386", "--n", "10"])
-    assert cfg.options["r_values"] == (0.8660254037844386,)
+    assert cfg.r == (0.8660254037844386,)
 
 
 def test_experiment_defaults():
     cfg = parse_args(["experiment", "--mode", "point", "--seed", "1"])
-    plan = cfg.options["plan"]
+    plan = cfg.plan
     assert plan.d_values == tuple(range(1, 61))
     assert plan.r_values == (0.0, 0.5, 0.8, 0.9)
     assert plan.n == 10000 and plan.trials == 60
     assert plan.deterministic_timing  # byte-identical reruns by default
 
     cfg = parse_args(["experiment", "--mode", "set", "--seed", "1", "--measure-timing"])
-    plan = cfg.options["plan"]
+    plan = cfg.plan
     assert plan.d_values == tuple(range(1, 81))
     assert plan.n == 1000
     assert not plan.deterministic_timing
@@ -117,6 +117,18 @@ def test_lp_diagnostic_exit_4(tmp_path, capsys, monkeypatch):
     assert main(["check", "--input", str(source), "--mode", "point",
                  "--kind", "linear"]) == EXIT_LP
     assert "LP diagnostic" in capsys.readouterr().err
+
+
+def test_io_error_exit_1_names_the_file(tmp_path, capsys):
+    # a missing input is a read failure, not a write failure; either way the
+    # message names the file and the exit code is 1
+    missing = tmp_path / "missing.csv"
+    assert main(["check", "--input", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert str(missing) in err
+    assert "write" not in err.replace(str(missing), "")
+    assert main(["sample", "--d", "2", "--n", "3", "--output", str(tmp_path)]) == 1
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +345,23 @@ def test_check_rejects_ragged_rows(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "first_row, code",
+    [
+        ("x1,x2", EXIT_OK),  # every cell is text: a header
+        ("0.5,abc", EXIT_DOMAIN),  # numbers and text: a malformed point, not a header
+        ("abc,0.5", EXIT_DOMAIN),
+    ],
+)
+def test_check_first_row_is_a_header_only_when_all_text(tmp_path, capsys, first_row, code):
+    source = tmp_path / "points.csv"
+    source.write_text(f"{first_row}\n0.9,0\n0,0.9\n-0.9,0\n0,-0.9\n", encoding="utf-8")
+    assert main(["check", "--input", str(source)]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_DOMAIN:
+        assert captured.out == "" and "row 0" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # asymptotics subcommand
 
@@ -421,11 +450,11 @@ def test_asymptotics_stdout_exact(op, capsys):
     ],
 )
 def test_grid_parser_tuples(d_text, d_values, r_text, r_values):
-    opts = parse_args(["bounds", "--id", "p1_linear_lb", "--d", d_text, "--r", r_text]).options
-    assert opts["d_values"] == d_values
-    assert opts["r_values"] == r_values
-    assert all(type(d) is int for d in opts["d_values"])
-    assert all(type(r) is float for r in opts["r_values"])
+    opts = parse_args(["bounds", "--id", "p1_linear_lb", "--d", d_text, "--r", r_text])
+    assert opts.d == d_values
+    assert opts.r == r_values
+    assert all(type(d) is int for d in opts.d)
+    assert all(type(r) is float for r in opts.r)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ def test_check_int_keeps_large_ints_exact():
 
 
 @pytest.mark.parametrize(
-    "value", [True, False, 2.5, math.nan, math.inf, "3.0", None, 10**400, 0, 2**64]
+    "value",
+    [True, False, np.True_, np.False_, 2.5, math.nan, math.inf, "3.0", None, 10**400, 0, 2**64],
 )
 def test_check_int_rejects(value):
     with pytest.raises(DomainError):
