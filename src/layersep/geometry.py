@@ -117,6 +117,20 @@ class PointCloud:
         return self.points.shape[0]
 
 
+def _radii(u: np.ndarray, layer: LayerSpec) -> np.ndarray:
+    """Unchecked radius_inverse_cdf, into a new array, without the pin of u = 1: as
+    fl(u fl(1 - r^d)) <= fl(1 - r^d) and fl(r^d + fl(1 - r^d)) <= 1, t never
+    exceeds 1, and only the lower clamp and the pin of u = 0 to r remain."""
+    r, d = layer.r, layer.d
+    rd = math.pow(r, d) if r > 0.0 else 0.0
+    rho = u * (1.0 - rd)
+    rho += rd
+    np.power(rho, 1.0 / d, out=rho)
+    np.maximum(rho, r, out=rho)
+    rho[u == 0.0] = r
+    return rho
+
+
 def radius_inverse_cdf(u, layer: LayerSpec):
     """Invert the radial CDF of the uniform shell distribution.
 
@@ -131,20 +145,12 @@ def radius_inverse_cdf(u, layer: LayerSpec):
     Returns:
         Radii in [r, 1]; exactly r at u=0 and exactly 1 at u=1.
     """
-    arr = np.asarray(u, dtype=np.float64)
+    arr = np.array(u, dtype=np.float64, ndmin=1)
     if arr.size and not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
         raise DomainError("u must lie in [0, 1]")
-    r, d = layer.r, layer.d
-    rd = math.pow(r, d) if r > 0.0 else 0.0
-    t = rd + arr * (1.0 - rd)
-    rho = np.power(t, 1.0 / d)
-    rho = np.clip(rho, r, 1.0)
-    # pin the endpoints so u=0 / u=1 land exactly on the shell boundary
-    rho = np.where(arr == 0.0, r, rho)
-    rho = np.where(arr == 1.0, 1.0, rho)
-    if np.ndim(u) == 0:
-        return float(rho)
-    return rho
+    rho = _radii(arr, layer)
+    rho[arr == 1.0] = 1.0
+    return float(rho[0]) if np.ndim(u) == 0 else rho
 
 
 def sample_layer(layer: LayerSpec, n: int, seed: int) -> PointCloud:
@@ -166,7 +172,9 @@ def sample_layer(layer: LayerSpec, n: int, seed: int) -> PointCloud:
             break
         g[bad] = rng.standard_normal((bad.size, layer.d))
         norms[bad] = _row_norms(g[bad])
-    scale = radius_inverse_cdf(rng.random(n), layer) / norms
+    # the draws lie in [0, 1) by construction, so they skip radius_inverse_cdf's checks
+    scale = _radii(rng.random(n), layer)
+    scale /= norms
     # |g_ij| <= norms_i, so a row's coordinates are finite exactly when its scale is
     if not np.all(np.isfinite(scale)):
         raise DomainError("sampled points must be finite")

@@ -15,8 +15,11 @@ Two notions of separability for a point X against a finite set M:
   solve produces the witness for either verdict.
 
 Set-level checks ask whether every point is separable from the others
-(1-convexity).  Both set checks get every point's Fisher margin from one
-blockwise Gram kernel, ``fisher_margins``.  The linear set check is a cascade
+(1-convexity).  Both use only the sign of each Fisher margin, from one float32
+blockwise Gram kernel, ``fisher_flags``, whose rounding band sends close calls
+to the point check's float64 product, so every sign is that check's verdict.
+Margin values are computed only when read, and equal its margins bit for bit.
+The linear set check is a cascade
 (Gorban et al. 2018): a point that fails the Fisher test gets at most
 ``PERCEPTRON_STEPS`` perceptron steps from its Fisher normal X, and only a
 point the perceptron does not certify goes to the simplex.  Novikoff (1962)
@@ -33,6 +36,7 @@ within it is decided in exact integer arithmetic (:mod:`layersep.dyadic`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,6 +51,7 @@ __all__ = [
     "DEFAULT_TOL",
     "SeparabilityCertificate",
     "SetReport",
+    "fisher_flags",
     "fisher_margins",
     "fisher_separable_point",
     "fisher_separable_set",
@@ -102,12 +107,13 @@ class SeparabilityCertificate:
 
 @dataclass(frozen=True)
 class SetReport:
-    """Outcome of a 1-convexity check; per-point certificates are built on demand.
+    """Outcome of a 1-convexity check; margins and certificates are built on demand.
 
-    ``margins`` holds the Fisher margin of each inspected point in order (the
-    point passed the Fisher test iff its margin is > 0) and ``lp_certificates``
-    the certificate of each point handed past the Fisher screen, by index,
-    whether the perceptron stage or the simplex decided it.  In verdict-only
+    ``flags`` holds whether each inspected point in order passed the Fisher
+    test, and ``margins`` (computed when read) its Fisher margin, > 0 exactly
+    where the flag is set.  ``lp_certificates`` holds the certificate of each
+    point handed past the Fisher screen, by index, whether the perceptron
+    stage or the simplex decided it.  In verdict-only
     mode the inspected points, and so ``per_point``, stop at the first failure.
     ``lp_calls`` counts the points handed past the Fisher screen and
     ``lp_skipped_by_fisher`` the points the screen settled; their sum is the
@@ -117,12 +123,16 @@ class SetReport:
 
     all_separable: bool
     first_failure: int | None
-    margins: np.ndarray = field(repr=False, compare=False)
+    flags: np.ndarray = field(repr=False, compare=False)
     points: np.ndarray = field(repr=False, compare=False)
     lp_certificates: dict = field(default_factory=dict, repr=False, compare=False)
     lp_calls: int = 0
     lp_skipped_by_fisher: int = 0
     simplex_runs: int = 0
+
+    @cached_property
+    def margins(self) -> np.ndarray:
+        return fisher_margins(self.points, len(self.flags))
 
     @cached_property
     def per_point(self) -> tuple[SeparabilityCertificate, ...]:
@@ -168,53 +178,84 @@ def _fisher_certificate(x: np.ndarray, margin: float) -> SeparabilityCertificate
 
 
 def _point_margin(x: np.ndarray, others: np.ndarray) -> float:
-    """(x,x) - max_y (x,y).  Unlike BLAS, einsum reduces each row on its own,
-    so a row's inner product does not depend on the row's position: permuting
-    ``others`` or deleting a row leaves every product bit-identical."""
+    """(x,x) - max_y (x,y), +inf for no y.  Unlike BLAS, einsum reduces each row
+    on its own, so a row's inner product does not depend on the row's position:
+    permuting ``others`` or deleting a row leaves every product bit-identical."""
     self_dot = np.einsum("ij,j->i", x[None, :], x)[0]
-    return float(self_dot - np.einsum("ij,j->i", others, x).max())
+    return float(self_dot - np.einsum("ij,j->i", others, x).max(initial=-np.inf))
 
 
-def fisher_margins(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarray:
-    """margin_i = (X_i,X_i) - max_{j != i} (X_i,X_j) for every row, blockwise Gram.
+def _sign_band(d: int, norms: np.ndarray, exponent: int) -> np.ndarray:
+    """Per row of a cloud scaled by ``2**-exponent`` to coordinates below 1, with
+    row norms ``norms``: a float32 Gram margin beyond the band has the sign of
+    ``_point_margin`` on the unscaled row.  +inf (the float64 fallback) where
+    the bound fails: d + 2 >= 2**24, a norm negative or not finite, or unscaled
+    float64 products that may overflow."""
+    peak = float(np.max(norms, initial=0.0))
+    k = d + 2
+    if not (k * 2.0**-24 < 1.0 and math.isfinite(peak) and np.min(norms, initial=0.0) >= 0.0
+            and 2 * exponent + d.bit_length() <= 1020):
+        return np.full(np.shape(norms), np.inf)
+    # Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1: with
+    # operands rounded to float32 and any summation order, FMA included,
+    # |fl32(X.Y) - (X,Y)| <= gamma_{d+2} |X| |Y|, gamma_k = k u / (1 - k u),
+    # u = 2**-24; _point_margin's products obey it with gamma_d, u = 2**-53.
+    # A margin holds two products; beyond both errors the two signs agree.
+    gamma32 = k * 2.0**-24 / (1.0 - k * 2.0**-24)
+    gamma64 = d * 2.0**-53 / (1.0 - d * 2.0**-53)
+    # underflow: a cast or product errs by 2**-150 in float32, by 2**-1075 in
+    # unscaled float64 (the cap drops only a term that makes every band huge)
+    floor = d * 2.0**-146 + math.ldexp(d, min(-1073 - 2 * exponent, 900))
+    # the last factor covers rounding in the float32 subtraction, the norms and here
+    return ((2.0 * (gamma32 + gamma64) * peak) * norms + floor) * (1.0 + 2.0**-20)
 
-    Row i is Fisher-separable from the other rows iff margin_i > 0.  A Gram
-    margin within the rounding-error bound of 0 is recomputed with the product
-    of ``fisher_point_vs_set``, so the sign always equals that function's
-    verdict.  ``stop_at_failure`` ends the scan after the first block holding a
-    margin <= 0, and the result then covers only the rows scanned.
-    """
+
+def fisher_flags(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarray:
+    """flag_i: is row i Fisher-separable from the other rows, as
+    ``fisher_point_vs_set`` says?  One blockwise float32 Gram pass; a row inside
+    ``_sign_band`` goes to ``_point_margin``.  ``stop_at_failure`` ends the scan
+    after the first block holding a failure, and the result then covers only
+    the rows scanned."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, d = points.shape
-    self_dots = np.einsum("ij,ij->i", points, points)
-    peaks = np.abs(points).max(axis=1)
-    tie_band = gap_error_bound(d, peaks, peaks, peaks.max(initial=0.0))
-    columns = np.ascontiguousarray(points.T)  # a faster GEMM operand than the view
+    # scaled so that max|coord| lies in [0.5, 1): nothing overflows float32
+    exponent = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
+    scaled = np.ldexp(points, -exponent) if exponent else points
+    band = _sign_band(d, np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
+    rows = scaled.astype(np.float32)
+    columns = np.ascontiguousarray(rows.T)  # a faster GEMM operand than the view
     # the Gram matrix is symmetric: a block's rows meet only the columns from its
     # start on, and col_max carries the earlier blocks' part of each row maximum
-    col_max = np.full(n, -np.inf)
-    margins = np.empty(n)
+    col_max = np.full(n, -np.inf, dtype=np.float32)
+    flags = np.empty(n, dtype=bool)
     for start in range(0, n, FISHER_BLOCK):
         stop = min(start + FISHER_BLOCK, n)
-        gram = points[start:stop] @ columns[:, start:]
+        gram = rows[start:stop] @ columns[:, start:]
+        margins = gram.diagonal().copy()
         np.fill_diagonal(gram, -np.inf)
         np.maximum(col_max[start:], gram.max(axis=0), out=col_max[start:])
-        block = margins[start:stop]
-        row_max = np.maximum(gram.max(axis=1), col_max[start:stop])
-        np.subtract(self_dots[start:stop], row_max, out=block)
-        for i in np.flatnonzero(np.abs(block) <= tie_band[start:stop]):
-            block[i] = _point_margin(points[start + i], others_of(points, start + i))
-        if stop_at_failure and not np.all(block > 0.0):
-            return margins[:stop]
-    return margins
+        margins -= np.maximum(gram.max(axis=1), col_max[start:stop])
+        block = flags[start:stop]
+        np.greater(margins, 0.0, out=block)
+        for i in np.flatnonzero(~(np.abs(margins) > band[start:stop])):
+            block[i] = _point_margin(points[start + i], others_of(points, start + i)) > 0.0
+        if stop_at_failure and not block.all():
+            return flags[:stop]
+    return flags
+
+
+def fisher_margins(points: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Float64 margin (X_i,X_i) - max_{j != i} (X_i,X_j) of each of the first
+    ``count`` rows (default all), equal to ``fisher_point_vs_set``'s bit for bit."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    rows = range(len(points) if count is None else count)
+    return np.array([_point_margin(points[i], others_of(points, i)) for i in rows], dtype=float)
 
 
 def fisher_point_vs_set(x: np.ndarray, others: np.ndarray) -> SeparabilityCertificate:
     """Fisher-separate an arbitrary point from an arbitrary finite set."""
     x, others = check_point_set(x, others)
     x = np.ascontiguousarray(x)
-    if len(others) == 0:
-        return _fisher_certificate(x, float("inf"))
     return _fisher_certificate(x, _point_margin(x, np.ascontiguousarray(others)))
 
 
@@ -230,12 +271,12 @@ def fisher_separable_set(cloud: PointCloud, verdict_only: bool = False) -> SetRe
     ``verdict_only`` permits early exit at the first failure; per_point is
     then truncated.
     """
-    margins = fisher_margins(cloud.points, stop_at_failure=verdict_only)
-    failures = np.flatnonzero(margins <= 0.0)
+    flags = fisher_flags(cloud.points, stop_at_failure=verdict_only)
+    failures = np.flatnonzero(~flags)
     first_failure = int(failures[0]) if failures.size else None
     if verdict_only and first_failure is not None:
-        margins = margins[: first_failure + 1]
-    return SetReport(first_failure is None, first_failure, margins, cloud.points)
+        flags = flags[: first_failure + 1]
+    return SetReport(first_failure is None, first_failure, flags, cloud.points)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +399,12 @@ def linearly_separable_set(
     """
     tol = check_real(tol, "tol", 0.0, np.inf)
     pts = cloud.points
-    margins = fisher_margins(pts)
+    flags = fisher_flags(pts)
     lp_certificates: dict[int, SeparabilityCertificate] = {}
     first_failure = None
     simplex_runs = 0
     peak = tol_eff = None
-    for i in np.flatnonzero(margins <= 0.0).tolist():
+    for i in np.flatnonzero(~flags).tolist():
         if peak is None:  # a cloud the Fisher test settles pays nothing here
             peak = float(np.abs(pts).max())
             tol_eff = _scaled_tol(tol, peak)
@@ -375,10 +416,10 @@ def linearly_separable_set(
         if not cert.separable and first_failure is None:
             first_failure = i
             if verdict_only:
-                margins = margins[: i + 1]
+                flags = flags[: i + 1]
                 break
-    skipped = int(np.count_nonzero(margins > 0.0))
-    return SetReport(first_failure is None, first_failure, margins, pts, lp_certificates,
+    skipped = int(np.count_nonzero(flags))
+    return SetReport(first_failure is None, first_failure, flags, pts, lp_certificates,
                      len(lp_certificates), skipped, simplex_runs)
 
 

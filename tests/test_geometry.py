@@ -149,8 +149,9 @@ def test_sampled_clouds_pass_outside_validation():
 
 @pytest.mark.parametrize("bad_radius", [1.0 + 1e-12, float("nan")])
 def test_sample_layer_rejects_radii_off_the_shell(monkeypatch, bad_radius):
-    # the sampler's own finiteness and shell checks are its only guard
-    monkeypatch.setattr(geometry, "radius_inverse_cdf", lambda u, layer: np.full(len(u), bad_radius))
+    # the sampler's own finiteness and shell checks are its only guard: its
+    # radii come from _radii, which trusts the sampler's draws unchecked
+    monkeypatch.setattr(geometry, "_radii", lambda u, layer: np.full(len(u), bad_radius))
     with pytest.raises(DomainError):
         sample_layer(LayerSpec(d=5, r=0.5), 100, seed=0)
 

@@ -15,6 +15,7 @@ from layersep.separability import (
     FISHER_BLOCK,
     PERCEPTRON_STEPS,
     SeparabilityCertificate,
+    fisher_flags,
     fisher_margins,
     fisher_point_vs_set,
     fisher_separable_point,
@@ -150,6 +151,7 @@ def test_fisher_margins_match_brute_force_across_blocks():
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
         verdicts = [fisher_separable_point(i, cloud).separable for i in range(n)]
         assert (got > 0.0).tolist() == verdicts
+        assert fisher_flags(pts).tolist() == verdicts
 
 
 def dyadic_cloud(rng, d, n):
@@ -301,6 +303,145 @@ def test_lazy_per_point_matches_eager_certificates(verdict_only):
         failures = [i for i, c in enumerate(want) if not c.separable]
         assert linear.first_failure == (failures[0] if failures else None)
         assert linear.per_point is linear.per_point  # built once
+
+
+@pytest.mark.parametrize("check", [
+    lambda cloud: fisher_separable_set(cloud),
+    lambda cloud: fisher_separable_set(cloud, verdict_only=True),
+    lambda cloud: linearly_separable_set(cloud, verdict_only=True),
+], ids=["fisher", "fisher-verdict-only", "linear-verdict-only"])
+def test_set_checks_compute_float64_margins_only_when_read(monkeypatch, check):
+    # the set checks need only each margin's sign, which the float32 pass
+    # decides; a margin's float64 value is computed when a caller reads it
+    cloud = sample_layer(LayerSpec(d=40, r=0.5), 1000, seed=13)
+    calls = []
+    point_margin = separability._point_margin
+
+    def counted(x, others):
+        calls.append(1)
+        return point_margin(x, others)
+
+    monkeypatch.setattr(separability, "_point_margin", counted)
+    report = check(cloud)
+    assert report.all_separable and len(report.flags) == cloud.n
+    assert calls == []
+    certs = report.per_point
+    assert len(calls) == cloud.n
+    assert report.margins.tolist() == [cert.margin for cert in certs]
+    for i, cert in enumerate(certs):
+        assert cert.method == "fisher"
+        assert cert.margin == fisher_separable_point(i, cloud).margin
+
+
+# two points whose float32 Gram margin has the wrong sign, whatever the order
+# of the float32 sum and with or without FMA: the float64 margin of the first
+# is -1.1e-16, its float32 margin +6.0e-8, and only the band sends it to the
+# float64 fallback
+WRONG_FLOAT32_SIGN = [[-0.5910844069833844, -0.7625824756369749],
+                      [-0.591082002952186, -0.7625843390227733]]
+
+
+# row 1 lies at the float32 subnormal scale: its float64 margin is +6.5e-87,
+# while float32 products rounded one by one give its Gram margin as -2**-149;
+# only the band's underflow term sends it to the fallback (an FMA sum gives 0)
+SUBNORMAL_FLOAT32_SIGN = [
+    [0.25657328663720164, 0.2597714092060477, 0.822611064564104],
+    [5.044847887493958e-44, -3.473857756699519e-44, -4.886388876324412e-45],
+    [-1.352034811701618e-43, -1.5666013001240686e-43, 2.7017689093817312e-43],
+]
+
+
+def mixed_magnitude_cloud(rng, d, n):
+    # coordinates of normal size next to ones at 2**-145 (float32 subnormals,
+    # cast with lost bits) and 2**-160 (below the float32 range: cast to 0),
+    # and whole rows at those sizes, whose float32 margin is 0 or noise
+    pts = rng.uniform(-1.0, 1.0, size=(n, d)) / math.sqrt(d)
+    pts[:, 1::3] *= 2.0**-145
+    pts[:, 2::3] *= 2.0**-160
+    pts[1::3] *= 2.0**-150
+    return cloud_from(pts)
+
+
+def scaled_down_cloud(rng, d, n):
+    # 2**-600 leaves the float64 products below the normal range, so the point
+    # check's margins are rounding noise: the float32 pass must not decide them
+    make = (near_tie_cloud, dyadic_cloud)[int(rng.integers(2))]
+    return cloud_from(make(rng, d, n).points * 2.0**-600)
+
+
+def assert_same_floats(got, want):
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def assert_reports_equal_point_checks(cloud, linear=True):
+    solo = [fisher_separable_point(i, cloud) for i in range(cloud.n)]
+    checks = (fisher_separable_set, linearly_separable_set) if linear else (fisher_separable_set,)
+    for verdict_only in (False, True):
+        for report in (check(cloud, verdict_only=verdict_only) for check in checks):
+            inspected = solo[: len(report.flags)]
+            assert report.flags.tolist() == [c.separable for c in inspected]
+            assert_same_floats(report.margins, [c.margin for c in inspected])
+            for cert, want in zip(report.per_point, inspected):
+                if cert.method == "fisher":
+                    assert cert.verdict == want.verdict
+                    assert_same_floats(cert.margin, want.margin)
+    return solo
+
+
+@pytest.mark.parametrize("make", [near_tie_cloud, dyadic_cloud, mixed_magnitude_cloud,
+                                  scaled_down_cloud])
+def test_set_report_margins_equal_point_margins(make):
+    # the simplex's pivot tolerance is absolute, so at 2**-600 the cascade's LP
+    # stalls; there the linear report is left out (it reads the same flags)
+    linear = make is not scaled_down_cloud
+    rng = np.random.default_rng(13)
+    undecided = 0
+    for _ in range(60):
+        cloud = make(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25)))
+        solo = assert_reports_equal_point_checks(cloud, linear)
+        undecided += sum(not c.separable for c in solo)
+    assert undecided > 0
+
+
+def test_set_report_overrules_a_wrong_float32_sign():
+    cloud = cloud_from(WRONG_FLOAT32_SIGN)
+    rows = cloud.points.astype(np.float32)
+    gram = rows @ rows.T
+    assert gram[0, 0] - gram[0, 1] > 0.0
+    assert not fisher_separable_point(0, cloud).separable
+    assert_reports_equal_point_checks(cloud)
+    cloud = cloud_from(SUBNORMAL_FLOAT32_SIGN)
+    assert fisher_separable_point(1, cloud).separable
+    assert_reports_equal_point_checks(cloud)
+
+
+def test_fisher_flags_equal_point_verdicts_where_float64_overflows():
+    # at 2**600 the point check's float64 products overflow (its margins are
+    # inf or NaN); the flags follow it rather than the exact sign
+    rng = np.random.default_rng(17)
+    for make in (near_tie_cloud, dyadic_cloud):
+        for _ in range(20):
+            pts = make(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25))).points * 2.0**600
+            with np.errstate(over="ignore", invalid="ignore"):
+                solo = [fisher_point_vs_set(pts[i], np.delete(pts, i, axis=0))
+                        for i in range(len(pts))]
+                assert fisher_flags(pts).tolist() == [c.separable for c in solo]
+                assert_same_floats(fisher_margins(pts), [c.margin for c in solo])
+
+
+def test_sign_band_sends_every_row_to_the_fallback_where_its_bound_fails():
+    norms = np.array([0.0, 0.5, 1.0])
+    band = separability._sign_band(40, norms, 0)
+    assert np.all(np.isfinite(band)) and np.all(band > 0.0)
+    # gamma_{d+2} is undefined from d + 2 = 2**24 on; no such cloud is built
+    assert np.all(np.isfinite(separability._sign_band(2**24 - 3, norms, 0)))
+    for d in (2**24 - 2, 2**24, 2**60):
+        assert np.all(separability._sign_band(d, norms, 0) == np.inf)
+    for bad in (np.nan, np.inf, -np.inf, -0.5):
+        assert np.all(separability._sign_band(40, np.array([0.5, bad, 0.0]), 0) == np.inf)
+    # unscaled float64 products that may overflow, and ones below the normal range
+    assert np.all(separability._sign_band(40, norms, 510) == np.inf)
+    assert np.all(separability._sign_band(40, norms, -600) > 2.0**100)
 
 
 # ---------------------------------------------------------------------------
