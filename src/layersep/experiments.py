@@ -15,6 +15,7 @@ import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class ExperimentPlan:
         master_seed: 64-bit root of every RNG stream in the run.
         tol: LP margin tolerance passed through to the linear checks.
         check_kinds: which verdicts to record, subset of {'linear', 'fisher'}.
-        workers: worker threads per cell; any value yields identical records.
+        workers: threads for the whole run; any value yields identical records.
         deterministic_timing: report wall_time_seconds as 0.0 so repeated runs
             serialize byte-identically.
     """
@@ -103,7 +104,8 @@ class ExperimentPlan:
 @dataclass(frozen=True)
 class ExperimentRecord:
     """One grid cell's results: frequencies, Wilson intervals, bounds,
-    accounting.  The fields, in order, are the columns of the record CSV."""
+    accounting.  The fields, in order, are the columns of the record CSV;
+    ``wall_time_seconds`` sums the cell's trial durations, each timed in its thread."""
 
     d: int
     r: float
@@ -180,13 +182,6 @@ def _set_trial(plan, layer, trial_idx):
     return report.all_separable, fisher_ok, report.lp_calls, report.lp_skipped_by_fisher
 
 
-def _cell_bounds(plan: ExperimentPlan, d: int, r: float) -> tuple[float, float]:
-    query = BoundQuery(d=d, r=r, n=plan.n)
-    if plan.mode == "point_level":
-        return p1_linear_lb(query).value, p1_fisher_lb(query).value
-    return p_linear_lb(query).value, p_fisher_lb(query).value
-
-
 def _frequency(plan: ExperimentPlan, kind: str, hits: int) -> tuple[float, float, float]:
     """The hit frequency and interval ends, or NaNs when the plan does not record ``kind``."""
     if kind not in plan.check_kinds:
@@ -194,22 +189,17 @@ def _frequency(plan: ExperimentPlan, kind: str, hits: int) -> tuple[float, float
     return (hits / plan.trials, *frequency_interval(hits, plan.trials))
 
 
-def _run_cell(plan: ExperimentPlan, d: int, r: float, trial_fn) -> ExperimentRecord:
-    layer = LayerSpec(d=d, r=r)
-    start = time.perf_counter()
-    if plan.workers > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            outcomes = list(pool.map(lambda t: trial_fn(plan, layer, t), range(plan.trials)))
-    else:
-        outcomes = [trial_fn(plan, layer, t) for t in range(plan.trials)]
-    elapsed = 0.0 if plan.deterministic_timing else time.perf_counter() - start
-
+def _cell_record(plan: ExperimentPlan, layer: LayerSpec, outcomes: list) -> ExperimentRecord:
+    """Fold one cell's timed trial outcomes and its two bounds into its record."""
+    linear, fisher, lp_calls, lp_skipped, seconds = map(sum, zip(*outcomes))
+    query = BoundQuery(d=layer.d, r=layer.r, n=plan.n)
+    point = plan.mode == "point_level"
+    bounds = (p1_linear_lb, p1_fisher_lb) if point else (p_linear_lb, p_fisher_lb)
     return ExperimentRecord(
-        d, r, plan.n, plan.trials,
-        *_frequency(plan, "linear", sum(1 for o in outcomes if o[0])),
-        *_frequency(plan, "fisher", sum(1 for o in outcomes if o[1])),
-        *_cell_bounds(plan, d, r),
-        elapsed, sum(o[2] for o in outcomes), sum(o[3] for o in outcomes),
+        layer.d, layer.r, plan.n, plan.trials,
+        *_frequency(plan, "linear", linear), *_frequency(plan, "fisher", fisher),
+        *(bound(query).value for bound in bounds),
+        0.0 if plan.deterministic_timing else seconds, lp_calls, lp_skipped,
     )
 
 
@@ -223,4 +213,19 @@ def run_experiment(plan: ExperimentPlan) -> list[ExperimentRecord]:
     rest.
     """
     trial_fn = _point_trial if plan.mode == "point_level" else _set_trial
-    return [_run_cell(plan, d, r, trial_fn) for r in plan.r_values for d in plan.d_values]
+    cells = [LayerSpec(d=d, r=r) for r in plan.r_values for d in plan.d_values]
+
+    def timed_trial(job):
+        start = time.perf_counter()
+        return (*trial_fn(plan, *job), time.perf_counter() - start)
+
+    # one pool for the whole run: workers pull the next (cell, trial) job with
+    # no barrier at cell ends, and map returns the outcomes in job order
+    jobs = [(layer, t) for layer in cells for t in range(plan.trials)]
+    pool = ThreadPoolExecutor(max_workers=plan.workers) if plan.workers > 1 else None
+    try:
+        outcomes = map(timed_trial, jobs) if pool is None else pool.map(timed_trial, jobs)
+        return [_cell_record(plan, layer, list(islice(outcomes, plan.trials))) for layer in cells]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # after an error, no job not yet started runs

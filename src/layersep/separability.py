@@ -177,12 +177,17 @@ def _fisher_certificate(x: np.ndarray, margin: float) -> SeparabilityCertificate
     return SeparabilityCertificate("not_separable", "fisher", margin)
 
 
-def _point_margin(x: np.ndarray, others: np.ndarray) -> float:
-    """(x,x) - max_y (x,y), +inf for no y.  Unlike BLAS, einsum reduces each row
-    on its own, so a row's inner product does not depend on the row's position:
-    permuting ``others`` or deleting a row leaves every product bit-identical."""
+def _point_margin(x: np.ndarray, others: np.ndarray, skip: int | None = None) -> float:
+    """(x,x) - max_y (x,y) over the rows y of ``others`` but row ``skip``, +inf for
+    no y.  Unlike BLAS, einsum reduces each row on its own: permuting ``others``
+    or deleting or skipping a row leaves every product bit-identical."""
     self_dot = np.einsum("ij,j->i", x[None, :], x)[0]
-    return float(self_dot - np.einsum("ij,j->i", others, x).max(initial=-np.inf))
+    products = np.einsum("ij,j->i", others, x)
+    if skip is not None:
+        # shift out row skip: max reduces the array a deletion leaves, NaN sign included
+        products[skip:-1] = products[skip + 1:]
+        products = products[:-1]
+    return float(self_dot - products.max(initial=-np.inf))
 
 
 def _sign_band(d: int, norms: np.ndarray, exponent: int) -> np.ndarray:
@@ -238,7 +243,7 @@ def fisher_flags(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarra
         block = flags[start:stop]
         np.greater(margins, 0.0, out=block)
         for i in np.flatnonzero(~(np.abs(margins) > band[start:stop])):
-            block[i] = _point_margin(points[start + i], others_of(points, start + i)) > 0.0
+            block[i] = _point_margin(points[start + i], points, start + i) > 0.0
         if stop_at_failure and not block.all():
             return flags[:stop]
     return flags
@@ -249,7 +254,7 @@ def fisher_margins(points: np.ndarray, count: int | None = None) -> np.ndarray:
     ``count`` rows (default all), equal to ``fisher_point_vs_set``'s bit for bit."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     rows = range(len(points) if count is None else count)
-    return np.array([_point_margin(points[i], others_of(points, i)) for i in rows], dtype=float)
+    return np.array([_point_margin(points[i], points, i) for i in rows], dtype=float)
 
 
 def fisher_point_vs_set(x: np.ndarray, others: np.ndarray) -> SeparabilityCertificate:

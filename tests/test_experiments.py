@@ -1,11 +1,14 @@
 """Monte Carlo runner: Wilson intervals, determinism, dominance, accounting."""
 
+import dataclasses
 import math
+import time
 
 import pytest
 from oracles import hull2d_vertex_count, mp_wilson
 
-from layersep.errors import DomainError
+from layersep import experiments
+from layersep.errors import DomainError, LPStallError
 from layersep.experiments import (
     CHECK_KINDS,
     ExperimentPlan,
@@ -209,3 +212,50 @@ def test_worker_count_does_not_change_records():
     point_serial = base_plan(n=30, trials=12, deterministic_timing=True)
     point_threaded = base_plan(n=30, trials=12, deterministic_timing=True, workers=3)
     assert run_experiment(point_serial) == run_experiment(point_threaded)
+
+    # one pool serves the whole plan, so trials of neighbouring cells run side
+    # by side: every cell in parallel with one trial each, and 5 trials on 2
+    # workers, where a cell's last trial shares the pool with the next cell's
+    for trials, workers in ((1, 3), (5, 2)):
+        for mode in ("point_level", "set_level"):
+            plan = base_plan(mode=mode, d_values=(2, 3, 5, 8), n=30, trials=trials,
+                             deterministic_timing=True)
+            threaded = dataclasses.replace(plan, workers=workers)
+            assert run_experiment(plan) == run_experiment(threaded), (trials, workers, mode)
+
+
+def test_failed_trial_cancels_the_jobs_not_started(monkeypatch):
+    # a stall must end a full-size run at once, not after the rest of the plan
+    plan = base_plan(mode="set_level", d_values=range(1, 21), trials=4, workers=2)
+    failing = (plan.r_values[0], plan.d_values[2])  # the third cell
+    started = []
+
+    def trial(plan, layer, trial_idx):
+        started.append((layer.r, layer.d))
+        if (layer.r, layer.d) == failing:
+            raise LPStallError("stalled")
+        time.sleep(0.01)
+        return True, True, 0, 1
+
+    monkeypatch.setattr(experiments, "_set_trial", trial)
+    with pytest.raises(LPStallError):
+        run_experiment(plan)
+    total = len(plan.d_values) * len(plan.r_values) * plan.trials
+    assert total >= 160 and failing in started
+    assert len(started) < total / 2, f"{len(started)} of {total} trials started"
+
+
+def test_wall_time_sums_the_trial_durations(monkeypatch):
+    # trials of a cell overlap each other and the next cell's, so a cell's
+    # time is the sum of its trials' durations, each timed in its thread
+    def trial(plan, layer, trial_idx):
+        time.sleep(0.02)
+        return True, True, 0, 1
+
+    monkeypatch.setattr(experiments, "_set_trial", trial)
+    plan = base_plan(mode="set_level", r_values=(0.5,), trials=4, workers=2)
+    records = run_experiment(plan)
+    assert len(records) == 2
+    assert all(record.wall_time_seconds >= 0.075 for record in records)
+    quiet = run_experiment(dataclasses.replace(plan, deterministic_timing=True))
+    assert [record.wall_time_seconds for record in quiet] == [0.0, 0.0]

@@ -317,9 +317,9 @@ def test_set_checks_compute_float64_margins_only_when_read(monkeypatch, check):
     calls = []
     point_margin = separability._point_margin
 
-    def counted(x, others):
+    def counted(*args):
         calls.append(1)
-        return point_margin(x, others)
+        return point_margin(*args)
 
     monkeypatch.setattr(separability, "_point_margin", counted)
     report = check(cloud)

@@ -151,3 +151,31 @@ def test_one_float_rendering():
     assert name == "cli.py" and fmt.lineno <= lineno <= fmt.end_lineno, (
         f"{FLOAT_SPEC!r} outside cli._fmt: {name}:{lineno}"
     )
+
+
+POOL_CLASS = "ThreadPoolExecutor"
+
+
+def test_one_thread_pool_per_run():
+    # run_experiment runs the whole plan through one pool; a pool per cell or
+    # per stage would bring back a barrier at each of its ends, where one
+    # worker idles while the other finishes
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    assert all(alias.asname is None for alias in node.names
+                               if alias.name.split(".")[-1] == POOL_CLASS), (
+                        f"{POOL_CLASS} imported under another name: {path.name}:{node.lineno}"
+                    )
+                elif isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if called == POOL_CLASS:
+                        found.append((path.name, getattr(top, "name", None), node.lineno))
+    assert [(name, owner) for name, owner, _ in found] == [
+        ("experiments.py", "run_experiment")
+    ], f"{POOL_CLASS} built at {found}"
