@@ -890,6 +890,55 @@ def test_crash_start_reaches_a_certified_optimum(monkeypatch):
     assert verdicts == {"separable", "not_separable"}
 
 
+def simplex_pin_instances():
+    """(x, others) hull programs for the simplex pin: criterion-2-shaped tiny
+    instances, every point of the tie clouds against the rest (ratio-test
+    ties), and the rows the Fisher test leaves open in two n=1000 set clouds."""
+    yield from criterion_2_shaped_queries(count=200, seed=83)
+    for cloud in tie_clouds():
+        for i in range(cloud.n):
+            yield cloud.points[i], np.delete(cloud.points, i, axis=0)
+    for seed in (16, 17):
+        points = sample_layer(LayerSpec(d=10, r=0.9), 1000, seed=seed).points
+        for i in np.flatnonzero(~fisher_flags(points)).tolist():
+            yield points[i], np.delete(points, i, axis=0)
+
+
+def certificate_bytes(cert):
+    fields = (cert.hyperplane, cert.coefficients)
+    return repr((cert.verdict, cert.method, cert.margin)).encode() + b"".join(
+        b"-" if a is None else a.tobytes() for a in fields)
+
+
+# sha256 of every simplex result and certificate of simplex_pin_instances, and
+# of the set check's certificates on the two set clouds
+PINNED_SIMPLEX_DIGEST = "38eaaa6fa189b4e7acb4c568174ec5b5250cfec5469a755198cabb0f39953f7b"
+
+
+def test_simplex_results_and_certificates_pinned(monkeypatch):
+    # pivots, x, duals and objective of every solve and every certificate's
+    # bytes: a faster simplex or perceptron must pick the same pivots
+    digest = hashlib.sha256()
+
+    def recorded(c, A, b, max_pivots, basis):
+        result = solve_standard_form(c, A, b, max_pivots=max_pivots, basis=basis)
+        digest.update(repr(result.pivots).encode() + result.x.tobytes()
+                      + result.duals.tobytes() + np.float64(result.objective).tobytes())
+        return result
+
+    monkeypatch.setattr(separability, "solve_standard_form", recorded)
+    for x, others in simplex_pin_instances():
+        try:
+            digest.update(certificate_bytes(lp_point_vs_set(x, others)) + b"\n")
+        except LPStallError:
+            digest.update(b"stall\n")
+    for seed in (16, 17):
+        report = linearly_separable_set(sample_layer(LayerSpec(d=10, r=0.9), 1000, seed=seed))
+        for i, cert in sorted(report.lp_certificates.items()):
+            digest.update(repr(i).encode() + certificate_bytes(cert) + b"\n")
+    assert digest.hexdigest() == PINNED_SIMPLEX_DIGEST
+
+
 def test_lp_nonseparating_normal_is_a_diagnostic(monkeypatch):
     # an optimal distance above tol whose dual normal separates nothing must
     # raise, not become a separable verdict
