@@ -261,7 +261,8 @@ def parse_args(argv) -> argparse.Namespace:
     p_exp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="LP margin tolerance")
     p_exp.add_argument("--kinds", default="linear,fisher",
                        help="comma subset of linear,fisher")
-    p_exp.add_argument("--workers", type=int, default=1, help="threads for the whole run")
+    p_exp.add_argument("--workers", type=int, default=1, help="threads for the whole run, "
+                       "at most the usable cores, fed a bounded window of jobs")
     p_exp.add_argument("--measure-timing", action="store_true",
                        help="report each cell's summed trial times (breaks byte-identical reruns)")
     p_exp.add_argument("--output", default="-", help="file path or - for stdout")

@@ -11,6 +11,7 @@ byte-identical reruns.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +45,7 @@ WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
 
 MODES = ("point_level", "set_level")
 CHECK_KINDS = ("linear", "fisher")
+JOBS_PER_WORKER = 8  # jobs in the pool per worker, from the oldest not yet consumed
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class ExperimentPlan:
         master_seed: 64-bit root of every RNG stream in the run.
         tol: LP margin tolerance passed through to the linear checks.
         check_kinds: which verdicts to record, subset of {'linear', 'fisher'}.
-        workers: threads for the whole run; any value yields identical records.
+        workers: threads, at most the usable cores; any value yields identical records.
         deterministic_timing: report wall_time_seconds as 0.0 so repeated runs
             serialize byte-identically.
     """
@@ -219,13 +221,25 @@ def run_experiment(plan: ExperimentPlan) -> list[ExperimentRecord]:
         start = time.perf_counter()
         return (*trial_fn(plan, *job), time.perf_counter() - start)
 
-    # one pool for the whole run: workers pull the next (cell, trial) job with
-    # no barrier at cell ends, and map returns the outcomes in job order
-    jobs = [(layer, t) for layer in cells for t in range(plan.trials)]
-    pool = ThreadPoolExecutor(max_workers=plan.workers) if plan.workers > 1 else None
+    # one pool for the whole run, no wider than the usable cores: workers pull the
+    # next (cell, trial) job with no barrier at cell ends; outcomes come in job order
+    jobs = ((layer, t) for layer in cells for t in range(plan.trials))
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
+    workers = min(plan.workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        outcomes = map(timed_trial, jobs) if pool is None else pool.map(timed_trial, jobs)
+        outcomes = (map(timed_trial, jobs) if pool is None
+                    else _windowed_map(pool, timed_trial, jobs, JOBS_PER_WORKER * workers))
         return [_cell_record(plan, layer, list(islice(outcomes, plan.trials))) for layer in cells]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)  # after an error, no job not yet started runs
+
+
+def _windowed_map(pool, fn, jobs, window):
+    """``pool.map(fn, jobs)`` holding at most ``window`` submitted jobs not yet consumed."""
+    pending = [pool.submit(fn, job) for job in islice(jobs, window)]
+    while pending:
+        outcome = pending.pop(0).result()
+        pending.extend(pool.submit(fn, job) for job in islice(jobs, 1))
+        yield outcome

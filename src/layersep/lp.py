@@ -19,6 +19,11 @@ ratio-test ties.
 The solve starts from a feasible basis that the caller supplies; there is no
 phase 1.  A pivot cap turns numerical pathology into a loud
 :class:`LPStallError` instead of a wrong answer.
+
+Steps over the n columns run in NumPy.  The ratio test and the start checks, over
+m entries, run on Python floats: there NumPy's per-call cost and the GIL it may
+hand to another thread at each call outweigh the arithmetic.  They do the same
+float operations in the same order, so every pivot and result is bit-identical.
 """
 
 from __future__ import annotations
@@ -98,18 +103,19 @@ def _start(A, b, basis, max_pivots) -> _Simplex:
     idx = np.asarray(basis)
     if idx.shape != (m,) or not np.issubdtype(idx.dtype, np.integer):
         raise DomainError(f"basis must hold {m} integer column indices, got {basis!r}")
-    if idx.min(initial=0) < 0 or idx.max(initial=0) >= n:
+    ids = idx.tolist()
+    if min(ids, default=0) < 0 or max(ids, default=0) >= n:
         raise DomainError(f"basis indices must lie in [0, {n}), got {basis!r}")
-    if np.unique(idx).size != m:
+    if len(set(ids)) != m:
         raise DomainError(f"basis indices must be distinct, got {basis!r}")
     try:
         simplex = _Simplex(A, b, idx, max_pivots)
     except np.linalg.LinAlgError:
         raise DomainError("basis matrix A[:, basis] is singular") from None
-    condition = np.linalg.norm(A[:, idx], 1) * np.linalg.norm(simplex.binv, 1)
+    condition = np.abs(A[:, idx]).sum(axis=0).max() * np.abs(simplex.binv).sum(axis=0).max()
     if not condition < 1.0 / np.finfo(np.float64).eps:  # also rejects inf and NaN
         raise DomainError("basis matrix A[:, basis] is singular")
-    if np.any(simplex.xb < -FEASIBILITY_TOL):
+    if any(v < -FEASIBILITY_TOL for v in simplex.xb.tolist()):
         raise DomainError("basis is not feasible: A[:, basis]^-1 b has a negative entry")
     return simplex
 
@@ -159,7 +165,7 @@ class _Simplex:
                 candidates = np.flatnonzero(reduced < -PIVOT_TOL)
                 q = int(candidates[0]) if candidates.size else -1
             else:
-                q = int(np.argmin(reduced))
+                q = int(reduced.argmin())
                 if reduced[q] >= -PIVOT_TOL:
                     q = -1
             if q < 0:
@@ -168,13 +174,14 @@ class _Simplex:
                 self.refactor()  # confirm optimality on a fresh inverse
                 continue
             column = self.binv @ self.A[:, q]
-            rows = np.flatnonzero(column > PIVOT_TOL)
-            if rows.size == 0:
+            xb, basis = self.xb.tolist(), self.basis.tolist()
+            ratios = [(max(xb[i], 0.0) / v, i)
+                      for i, v in enumerate(column.tolist()) if v > PIVOT_TOL]
+            if not ratios:
                 raise LPStallError("unbounded direction in a bounded program")
-            ratios = np.maximum(self.xb[rows], 0.0) / column[rows]
-            theta = ratios.min()
-            near = rows[ratios <= theta + 1e-12 * (1.0 + theta)]
-            r = int(near[np.argmin(self.basis[near])])  # Bland: lowest basis index
+            theta = min(ratios)[0]
+            near = [i for ratio, i in ratios if ratio <= theta + 1e-12 * (1.0 + theta)]
+            r = min(near, key=basis.__getitem__)  # Bland: lowest basis index
             self.pivot(r, q, column)
             if self.pivots > self.max_pivots:
                 raise LPStallError(

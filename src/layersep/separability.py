@@ -24,7 +24,9 @@ The linear set check is a cascade
 ``PERCEPTRON_STEPS`` perceptron steps from its Fisher normal X, and only a
 point the perceptron does not certify goes to the simplex.  Novikoff (1962)
 bounds the steps a perceptron needs by (R / gamma)^2, so well-separated points
-are settled by a few matvecs.  A perceptron normal is accepted only when its
+are settled by a few matvecs.  The matvec over all n points runs in NumPy, the
+d-sized update on Python floats, with the same operations in the same order
+(see :mod:`layersep.lp`).  A perceptron normal is accepted only when its
 computed margin exceeds the LP's tolerance by more than the rounding-error
 bound of the products (``gap_error_bound``), so it certifies only points whose
 LP margin exceeds that tolerance: points the LP calls separable.
@@ -311,21 +313,21 @@ def lp_point_vs_set(
     # x - others.T @ lam written with sum(lam) = 1, so that points within ~1e-9
     # of x enter as differences at full relative precision and their nearly
     # parallel columns do not swamp the simplex in rounding error
-    n_var = k + 2 * d
-    A = np.zeros((d + 1, n_var))
-    A[:d, :k] = (others - x).T
-    A[:d, k : k + d] = np.eye(d)
-    A[:d, k + d :] = -np.eye(d)
+    A = np.zeros((d + 1, k + 2 * d))
+    np.subtract(others.T, x[:, None], out=A[:d, :k])
+    np.fill_diagonal(A[:d, k : k + d], 1.0)
+    np.fill_diagonal(A[:d, k + d :], -1.0)
     A[d, :k] = 1.0
     b = np.zeros(d + 1)
     b[d] = 1.0
-    c = np.concatenate([np.zeros(k), np.ones(2 * d)])
+    c = np.zeros(k + 2 * d)
+    c[k:] = 1.0
     # crash basis: lam_j = 1 for the point with the largest Fisher product, and
     # u_i or v_i carries |x - y_j|_i by its sign.  B = [[y_j - x, diag(+-1)],
     # [1, 0]] has determinant +-1 and B^-1 b = (1, |x - y_j|) >= 0.
-    j = int(np.argmax(others @ x))
-    coords = np.arange(d)
-    crash = np.concatenate([[j], np.where(x >= others[j], k + coords, k + d + coords)])
+    j = int((others @ x).argmax())
+    crash = [j] + [k + i if xi >= yi else k + d + i
+                   for i, (xi, yi) in enumerate(zip(x.tolist(), others[j].tolist()))]
     result = solve_standard_form(c, A, b, max_pivots=_pivot_cap(k, d), basis=crash)
 
     margin_star = result.objective
@@ -341,11 +343,8 @@ def lp_point_vs_set(
                 f"dual normal's margin is {achieved:.3e}; treating as a diagnostic, not a verdict"
             )
         return SeparabilityCertificate("separable", "lp", achieved, hyperplane=normal)
-    lam = result.x[:k].copy()
-    np.maximum(lam, 0.0, out=lam)
-    return SeparabilityCertificate(
-        "not_separable", "lp", float(margin_star), coefficients=lam
-    )
+    return SeparabilityCertificate("not_separable", "lp", float(margin_star),
+                                   coefficients=result.x[:k].copy())
 
 
 def _scaled_tol(tol: float, scale: float) -> float:
@@ -366,20 +365,19 @@ def _perceptron_certificate(
     margin program with a margin above ``tol_eff``, which the LP calls
     separable.  ``peak`` is max |points|.
     """
-    x = points[i]
-    d = len(x)
-    x_peak = float(np.abs(x).max())
-    normal = x.copy()
+    x = a = points[i].tolist()
+    x_peak = max(map(abs, x))
     for _ in range(PERCEPTRON_STEPS):
+        normal = np.array(a)
         products = points @ normal
         top = products[i]
         products[i] = -np.inf
-        j = int(np.argmax(products))
+        j = int(products.argmax())
         gap = float(top - products[j])
-        a_peak = float(np.abs(normal).max())
-        if gap > gap_error_bound(d, a_peak, x_peak, peak) + tol_eff * a_peak:
+        a_peak = max(map(abs, a))
+        if gap > gap_error_bound(len(x), a_peak, x_peak, peak) + tol_eff * a_peak:
             return SeparabilityCertificate("separable", "perceptron", gap, hyperplane=normal)
-        normal = normal + 0.5 * (x - points[j])
+        a = [ak + 0.5 * (xk - yk) for ak, xk, yk in zip(a, x, points[j].tolist())]
     return None
 
 

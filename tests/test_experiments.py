@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import os
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 from oracles import hull2d_vertex_count, mp_wilson
@@ -259,3 +261,46 @@ def test_wall_time_sums_the_trial_durations(monkeypatch):
     assert all(record.wall_time_seconds >= 0.075 for record in records)
     quiet = run_experiment(dataclasses.replace(plan, deterministic_timing=True))
     assert [record.wall_time_seconds for record in quiet] == [0.0, 0.0]
+
+
+def test_pool_holds_a_bounded_window_of_jobs(monkeypatch):
+    # a full-size set plan has 19,200 jobs; the runner submits a few per
+    # worker ahead of the oldest outcome it has not yet consumed
+    plan = base_plan(mode="set_level", d_values=range(1, 81), r_values=(0.0, 0.5, 0.8, 0.9),
+                     trials=60, workers=2)
+    held, peak, submitted = set(), [0], [0]
+    result = Future.result
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            held.add(future)
+            peak[0] = max(peak[0], len(held))
+            submitted[0] += 1
+            return future
+
+    def consumed(future, timeout=None):
+        held.discard(future)
+        return result(future, timeout)
+
+    monkeypatch.setattr(experiments, "_set_trial", lambda plan, layer, trial_idx: (1, 1, 0, 1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(Future, "result", consumed)
+    records = run_experiment(plan)
+    assert submitted[0] == 19_200 and len(records) == 320
+    assert all(record.freq_linear == 1.0 for record in records)
+    assert peak[0] == experiments.JOBS_PER_WORKER * plan.workers
+
+
+def test_pool_is_no_wider_than_the_usable_cores(monkeypatch):
+    # above the core count threads only contend for the GIL; one core runs
+    # the plan serially, with the records of any worker count
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built on one core")
+
+    plan = base_plan(mode="set_level", n=30, trials=4, deterministic_timing=True)
+    serial = run_experiment(plan)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    assert run_experiment(dataclasses.replace(plan, workers=4)) == serial
