@@ -29,7 +29,8 @@ import numpy as np
 
 from . import asymptotics as asymptotics_mod
 from .bounds import BOUND_IDS, COUNT_BOUND_IDS, evaluate_bound
-from .errors import DomainError, EnumerationLimitError, LPStallError, check_int, check_real
+from .errors import (DomainError, EnumerationLimitError, LPStallError, all_finite,
+                     check_int, check_real)
 from .experiments import ExperimentPlan, ExperimentRecord, run_experiment
 from .geometry import LayerSpec, PointCloud, sample_layer
 from .separability import (
@@ -377,7 +378,7 @@ def _read_point_matrix(source) -> np.ndarray:
 
 def _run_check(ns) -> None:
     pts = _read_point_matrix(ns.input)
-    if not np.all(np.isfinite(pts)):
+    if not all_finite(pts):
         raise DomainError("input points must be finite")
     # Both checks are invariant under uniform positive scaling, so data that
     # overflows the unit ball is shrunk to fit rather than rejected.

@@ -60,6 +60,12 @@ def check_real(value, name: str, low: float, high: float, low_closed: bool = Fal
     return number + 0.0
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Is every entry of the float array ``a`` finite (True if it is empty)?  max
+    and min propagate NaN and reach +-inf, so no mask the size of ``a`` is built."""
+    return math.isfinite(a.max(initial=0.0)) and math.isfinite(a.min(initial=0.0))
+
+
 def check_point_set(x, others) -> tuple[np.ndarray, np.ndarray]:
     """``x`` and ``others`` as float64 arrays: a point and a finite set of points
     in its dimension, so x is 1-d and others is 2-d with ``len(x)`` columns.
@@ -77,6 +83,6 @@ def check_point_set(x, others) -> tuple[np.ndarray, np.ndarray]:
             "need a point of shape (d,) and a set of shape (k, d), "
             f"got {x.shape} and {others.shape}"
         )
-    if not (np.isfinite(x).all() and np.isfinite(others).all()):
+    if not (all_finite(x) and all_finite(others)):
         raise DomainError("a point and a set of points need finite coordinates")
     return x, others

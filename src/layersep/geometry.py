@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, all_finite, check_int, check_real
 
 __all__ = [
     "LayerSpec",
@@ -25,18 +25,24 @@ __all__ = [
 
 # Slack for re-checking norms of stored float64 coordinates.  Empirically the
 # normalize-then-rescale construction drifts at most 3 ulp from the assigned
-# radius, independent of d (numpy reduces pairwise).  One range check,
-# _check_in_shell, applies it to outside clouds and to sampled ones alike.
+# radius, independent of d (numpy reduces each row pairwise, whatever block it
+# is in).  One range check, _check_in_shell, applies it to all clouds alike.
 _NORM_SLACK_ULPS = 4.0
+NORM_BLOCK = 1 << 15  # float64 squares _row_norms holds at once: 256 KiB
 
 
-def _row_norms(pts: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _row_norms(pts: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row: the floats ``np.linalg.norm(pts, axis=1)`` gives.
-
-    ``scratch`` (same shape and dtype as ``pts``) receives the squares, so a
-    caller that takes several norms of one shape allocates them once.
-    """
-    return np.sqrt(np.add.reduce(np.multiply(pts, pts, out=scratch), axis=1))
+    The squares pass through one buffer of ``NORM_BLOCK`` floats (or one row), a
+    block of rows at a time, so no norm needs a second array the size of ``pts``."""
+    n, d = pts.shape
+    rows = max(NORM_BLOCK // d, 1)
+    squares, norms = np.empty((min(rows, n), d)), np.empty(n)
+    for start in range(0, n, rows):
+        block = pts[start : start + rows]
+        np.multiply(block, block, out=squares[: len(block)])
+        np.add.reduce(squares[: len(block)], axis=1, out=norms[start : start + rows])
+    return np.sqrt(norms, out=norms)
 
 
 def _check_in_shell(norms: np.ndarray, layer: LayerSpec) -> None:
@@ -93,7 +99,7 @@ class PointCloud:
             raise DomainError(
                 f"points have dimension {pts.shape[1]}, layer has d={self.layer.d}"
             )
-        if not np.all(np.isfinite(pts)):
+        if not all_finite(pts):
             raise DomainError("points must be finite")
         _check_in_shell(_row_norms(pts), self.layer)
         pts = pts.copy()
@@ -164,8 +170,7 @@ def sample_layer(layer: LayerSpec, n: int, seed: int) -> PointCloud:
     n = check_int(n, "n", 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, layer.d))
-    scratch = np.empty_like(g)
-    norms = _row_norms(g, scratch)
+    norms = _row_norms(g)
     while True:
         bad = np.flatnonzero(norms == 0.0)
         if bad.size == 0:
@@ -176,10 +181,10 @@ def sample_layer(layer: LayerSpec, n: int, seed: int) -> PointCloud:
     scale = _radii(rng.random(n), layer)
     scale /= norms
     # |g_ij| <= norms_i, so a row's coordinates are finite exactly when its scale is
-    if not np.all(np.isfinite(scale)):
+    if not all_finite(scale):
         raise DomainError("sampled points must be finite")
     g *= scale[:, None]
-    _check_in_shell(_row_norms(g, scratch), layer)
+    _check_in_shell(_row_norms(g), layer)
     g.flags.writeable = False
     return PointCloud._from_sampler(layer, g, int(seed))
 

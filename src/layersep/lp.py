@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LPStallError
+from .errors import DomainError, LPStallError, all_finite
 
 # reduced costs / pivot elements below this count as zero
 PIVOT_TOL = 1e-11
@@ -74,7 +74,8 @@ def solve_standard_form(c, A, b, max_pivots: int, basis) -> SimplexResult:
 
     Raises:
         DomainError: ``A`` is not 2-d, ``c`` or ``b`` does not match its
-            shape, or ``basis`` is malformed, singular or infeasible.
+            shape, an entry of ``c``, ``A`` or ``b`` is NaN or infinite, or
+            ``basis`` is malformed, singular or infeasible.
         LPStallError: pivot cap exceeded, or an unbounded ray shows up (which
             for a correctly posed bounded program means numerical failure).
     """
@@ -89,6 +90,9 @@ def solve_standard_form(c, A, b, max_pivots: int, basis) -> SimplexResult:
             f"c must have shape ({n},) and b shape ({m},) for A of shape {A.shape}, "
             f"got {c.shape} and {b.shape}"
         )
+    for name, values in (("c", c), ("A", A), ("b", b)):
+        if not all_finite(values):  # NaN fails every feasibility and pricing test
+            raise DomainError(f"{name} must have finite entries")
     simplex = _start(A, b, basis, max_pivots)
     duals = simplex.run(c)
     x = np.zeros(n)

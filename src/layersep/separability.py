@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import gaps_positive_exactly
-from .errors import LPStallError, check_int, check_point_set, check_real
+from .errors import LPStallError, all_finite, check_int, check_point_set, check_real
 from .geometry import PointCloud
 from .lp import solve_standard_form
 
@@ -146,6 +146,11 @@ class SetReport:
         )
 
 
+def _peak(a: np.ndarray) -> float:
+    """``np.abs(a).max(initial=0.0)`` from two reductions, with no temporary."""
+    return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0))) + 0.0  # no -0.0
+
+
 def others_of(points: np.ndarray, i: int) -> np.ndarray:
     """The rows of ``points`` other than row i, in order: the set point i is checked against."""
     return np.delete(points, i, axis=0)
@@ -226,7 +231,7 @@ def fisher_flags(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarra
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, d = points.shape
     # scaled so that max|coord| lies in [0.5, 1): nothing overflows float32
-    exponent = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
+    exponent = math.frexp(_peak(points))[1]
     scaled = np.ldexp(points, -exponent) if exponent else points
     band = _sign_band(d, np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
     rows = scaled.astype(np.float32)
@@ -306,7 +311,7 @@ def lp_point_vs_set(
         return SeparabilityCertificate(
             "separable", "lp", float("inf"), hyperplane=x.copy()
         )
-    scale = max(float(np.abs(others).max(initial=0.0)), float(np.abs(x).max(initial=0.0)))
+    scale = max(_peak(others), _peak(x))
     tol_eff = _scaled_tol(tol, scale)
 
     # min sum(u) + sum(v)  s.t.  (others - x).T @ lam + u - v = 0,  sum(lam) = 1:
@@ -333,7 +338,7 @@ def lp_point_vs_set(
     margin_star = result.objective
     if margin_star > tol_eff:
         normal = result.duals[:d].copy()
-        peak = float(np.abs(normal).max())
+        peak = _peak(normal)
         if peak > 1.0:  # rounding can poke the box constraint by ~1e-15
             normal /= peak
         achieved = float(np.min((x - others) @ normal))
@@ -409,7 +414,7 @@ def linearly_separable_set(
     peak = tol_eff = None
     for i in np.flatnonzero(~flags).tolist():
         if peak is None:  # a cloud the Fisher test settles pays nothing here
-            peak = float(np.abs(pts).max())
+            peak = _peak(pts)
             tol_eff = _scaled_tol(tol, peak)
         cert = _perceptron_certificate(pts, i, peak, tol_eff)
         if cert is None:
@@ -454,13 +459,12 @@ def verify_certificate(
     eps = check_real(eps, "eps", 0.0, 1.0, low_closed=True)
     if cert.separable and cert.hyperplane is not None:
         normal = np.asarray(cert.hyperplane, dtype=np.float64)
-        if not (cert.margin > 0.0 and normal.shape == x.shape and np.isfinite(normal).all()):
+        if not (cert.margin > 0.0 and normal.shape == x.shape and all_finite(normal)):
             return False  # also rejects a NaN margin
         if len(others) == 0:
             return True
         gaps = float(normal @ x) - others @ normal
-        band = gap_error_bound(len(x), np.abs(normal).max(), np.abs(x).max(),
-                               np.abs(others).max())
+        band = gap_error_bound(len(x), _peak(normal), _peak(x), _peak(others))
         claimed = min(cert.margin, np.finfo(np.float64).max) * (1.0 - eps)
         if np.any(gaps < claimed - band):
             return False

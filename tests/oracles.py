@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -259,3 +260,21 @@ def brute_fisher_point(x, others):
     """(x, y) < (x, x) for all y, checked pairwise in python floats."""
     self_dot = float(np.dot(x, x))
     return all(float(np.dot(x, y)) < self_dot for y in others)
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it held above what was held before the
+    call, as tracemalloc sees it (NumPy reports its buffers there).  Call fn
+    once beforehand: one-time allocations, such as the first Generator's, would
+    count too."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

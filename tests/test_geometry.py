@@ -121,6 +121,9 @@ SAMPLE_DIGESTS = [
     (80, 0.0, 500, 5, "cdfa7025e78e4cd29405b16fe508b1a862f2beb44ca13f22fa3da4e7c2099a2e"),
     (80, 0.99, 300, 6, "f4d3f28c91017c291868b335de3aea5010410e303131aebb9d1293004a76f131"),
     (10, 0.5, 0, 7, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # clouds that span many of _row_norms's blocks, pinned before it went blockwise
+    (59, 0.5, 10001, 8, "c5cbbf37154e978a4e377ac70748a7556baf94799619b512e1289ecbd3cb707e"),
+    (80, 0.9, 3001, 9, "fa9484d07ccf684a5515e8f1f42f329d34ffa8f83e64026b8d1a18cec52a8a70"),
 ]
 
 
@@ -129,6 +132,25 @@ def test_sample_layer_bytes_pinned(d, r, n, seed, digest):
     points = sample_layer(LayerSpec(d=d, r=r), n, seed).points
     assert points.shape == (n, d)
     assert hashlib.sha256(points.tobytes()).hexdigest() == digest
+
+
+def test_sample_layer_holds_one_cloud_sized_array():
+    # the two row norms go through a block-sized buffer, not a second n x d array
+    layer = LayerSpec(d=59, r=0.5)
+    sample_layer(layer, 10, seed=0)
+    cloud, peak = oracles.traced_peak(sample_layer, layer, 10001, 8)
+    assert peak <= 1.25 * cloud.points.nbytes
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 59, 80])
+def test_row_norms_equal_linalg_norm_at_block_edges(d, scale):
+    rows = max(geometry.NORM_BLOCK // d, 1)
+    rng = np.random.default_rng(d)
+    for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
+        pts = rng.standard_normal((n, d)) * scale
+        want = np.linalg.norm(pts, axis=1)
+        assert geometry._row_norms(pts).tobytes() == want.tobytes()
 
 
 def test_sampled_clouds_pass_outside_validation():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -112,4 +114,18 @@ def test_nearly_singular_start_basis_is_rejected():
 )
 def test_mismatched_shapes_raise_domain_error(c, A, b):
     with pytest.raises(DomainError, match="shape"):
+        solve_standard_form(c=c, A=A, b=b, max_pivots=10, basis=[0])
+
+
+@pytest.mark.parametrize(
+    "c, A, b, name",
+    [
+        ([1.0, 1.0], [[1.0, 1.0]], [math.nan], "b"),  # once returned x = [nan, 0]
+        ([math.nan, 1.0], [[1.0, 1.0]], [1.0], "c"),  # once pivoted to objective nan
+        ([1.0, math.inf], [[1.0, 1.0]], [1.0], "c"),
+        ([1.0, 1.0], [[1.0, math.nan]], [1.0], "A"),  # outside the start basis
+    ],
+)
+def test_non_finite_entries_raise_domain_error(c, A, b, name):
+    with pytest.raises(DomainError, match=f"^{name} must have finite entries"):
         solve_standard_form(c=c, A=A, b=b, max_pivots=10, basis=[0])

@@ -139,6 +139,26 @@ def test_fisher_point_margin_bit_identical_under_row_permutation():
         assert base.margin == permuted.margin, (trial, d, k)
 
 
+def test_fisher_point_check_holds_no_cloud_sized_array():
+    # the finiteness test reduces; it builds no n x d mask
+    points = sample_layer(LayerSpec(d=59, r=0.5), 10001, seed=8).points
+    fisher_point_vs_set(points[0], points[1:10])
+    cert, peak = oracles.traced_peak(fisher_point_vs_set, points[0], points[1:])
+    assert cert.verdict in ("separable", "not_separable")
+    assert peak <= 0.05 * points[1:].nbytes
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [0.0], [-0.0], [-0.0, 0.0], [-3.0, 2.0], [1e-320, -5e-324], [-np.inf, 1.0],
+     [np.inf], [1.0, np.nan, -2.0], [[0.5, -0.75], [0.25, 0.0]]],
+)
+def test_peak_equals_the_largest_magnitude(values):
+    a = np.array(values, dtype=np.float64)
+    want = np.float64(np.abs(a).max(initial=0.0))
+    assert np.float64(separability._peak(a)).tobytes() == want.tobytes()
+
+
 def test_fisher_margins_match_brute_force_across_blocks():
     for n in (1, 2, 3, FISHER_BLOCK - 1, FISHER_BLOCK, FISHER_BLOCK + 1, 2 * FISHER_BLOCK + 7):
         cloud = sample_layer(LayerSpec(d=7, r=0.2), n, seed=n)

@@ -48,6 +48,19 @@ def test_integer_checks_only_in_the_validator():
     assert not found, f"integer checks outside {VALIDATOR_MODULE}: {found}"
 
 
+def test_array_finiteness_only_in_the_helper():
+    # one finiteness test, errors.all_finite: np.isfinite over an array builds
+    # a mask the size of the array, and copies of a check drift apart
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "isfinite"
+        and not (isinstance(node.value, ast.Name) and node.value.id == "math")
+    ]
+    assert not found, f"array finiteness checks outside errors.all_finite: {found}"
+
+
 def _top_level_names(tree) -> set[str]:
     names = set()
     for node in tree.body:

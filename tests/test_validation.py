@@ -1,4 +1,5 @@
-"""The shared validators: one integer check and one real-interval check."""
+"""The shared validators: one integer check, one real-interval check and one
+finiteness check."""
 
 import math
 
@@ -7,9 +8,10 @@ import pytest
 
 from layersep.asymptotics import fisher_gap_exact
 from layersep.bounds import BoundQuery
-from layersep.errors import DomainError, check_int, check_real
+from layersep.cli import EXIT_DOMAIN, main
+from layersep.errors import DomainError, all_finite, check_int, check_point_set, check_real
 from layersep.experiments import ExperimentPlan
-from layersep.geometry import LayerSpec
+from layersep.geometry import LayerSpec, PointCloud
 
 PLAN = dict(mode="point_level", d_values=(3,), r_values=(0.5,), n=10, trials=2, master_seed=1)
 
@@ -59,3 +61,38 @@ def test_check_real_ends_and_nan():
             check_real(value, "theta", 0.0, 1.0)
     with pytest.raises(DomainError):
         check_real(math.inf, "tol", 0.0, math.inf)
+
+
+# a 5 x 3 set of points in the unit ball
+FINITE_SET = np.linspace(-0.5, 0.5, 15).reshape(5, 3)
+
+
+def spoiled(a, where, bad):
+    """A copy of ``a`` with ``bad`` at its first, middle or last coordinate."""
+    a = a.copy()
+    a.flat[{"first": 0, "middle": a.size // 2, "last": -1}[where]] = bad
+    return a
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_every_finiteness_check_rejects_a_non_finite_coordinate(bad, where, tmp_path, capsys):
+    points, x = spoiled(FINITE_SET, where, bad), spoiled(FINITE_SET[0], where, bad)
+    assert all_finite(FINITE_SET) and all_finite(FINITE_SET[0])
+    assert not all_finite(points) and not all_finite(x)
+    with pytest.raises(DomainError, match="finite coordinates"):
+        check_point_set(FINITE_SET[0], points)
+    with pytest.raises(DomainError, match="finite coordinates"):
+        check_point_set(x, FINITE_SET)
+    with pytest.raises(DomainError, match="points must be finite"):
+        PointCloud(layer=LayerSpec(d=3, r=0.0), points=points, seed=0)
+    source = tmp_path / "pts.csv"
+    source.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in points))
+    assert main(["check", "--input", str(source), "--mode", "set"]) == EXIT_DOMAIN
+    assert "input points must be finite" in capsys.readouterr().err
+
+
+def test_finiteness_of_empty_sets():
+    assert all_finite(np.empty(0)) and all_finite(np.empty((0, 3)))
+    assert check_point_set(FINITE_SET[0], np.empty((0, 3)))[1].shape == (0, 3)
+    assert PointCloud(layer=LayerSpec(d=3, r=0.0), points=np.empty((0, 3)), seed=0).n == 0
