@@ -53,7 +53,6 @@ from .separability import (
     SetReport,
     fisher_point_vs_set,
     fisher_separable_set,
-    linearly_separable_point,
     linearly_separable_set,
     lp_point_vs_set,
     verify_certificate,
@@ -77,7 +76,6 @@ __all__ = [
     "fisher_point_vs_set",
     "fisher_separable_set",
     "lp_point_vs_set",
-    "linearly_separable_point",
     "linearly_separable_set",
     "verify_certificate",
     "exact_point_vs_set",

@@ -381,10 +381,14 @@ def _run_check(ns) -> None:
     if not all_finite(pts):
         raise DomainError("input points must be finite")
     # Both checks are invariant under uniform positive scaling, so data that
-    # overflows the unit ball is shrunk to fit rather than rejected.
-    max_norm = float(np.linalg.norm(pts, axis=1).max())
-    if max_norm > 1.0:
-        pts = pts / max_norm
+    # overflows the unit ball is shrunk to fit rather than rejected.  The norms
+    # are taken with the largest coordinate scaled into [0.5, 1) by a power of
+    # two, exact in the normal range, so that no square overflows.
+    exponent = math.frexp(float(np.abs(pts).max()))[1]
+    scaled = np.ldexp(pts, -exponent)
+    max_norm = float(np.linalg.norm(scaled, axis=1).max())  # times 2**exponent
+    if exponent > 1 or math.ldexp(max_norm, exponent) > 1.0:  # a coordinate >= 2: norm > 1
+        pts = scaled / max_norm
     out = sys.stdout
     if ns.mode == "point":
         if pts.shape[0] < 2:

@@ -54,10 +54,9 @@ import numpy as np
 
 from .dyadic import gaps_positive_exactly, scaled_to_integers
 from .errors import EnumerationLimitError, check_int, check_point_set
-from .geometry import PointCloud
-from .separability import PERCEPTRON_STEPS, SeparabilityCertificate, others_of
+from .separability import PERCEPTRON_STEPS, SeparabilityCertificate
 
-__all__ = ["exact_oracle_point", "exact_point_vs_set", "MAX_SUBSETS"]
+__all__ = ["exact_point_vs_set", "MAX_SUBSETS"]
 
 # enumeration guard: sum over k <= d+1 of C(m, k) must stay below this
 MAX_SUBSETS = 2_000_000
@@ -100,12 +99,6 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
                     "not_separable", "exact_oracle", 0.0, coefficients=coeffs
                 )
     return SeparabilityCertificate("separable", "exact_oracle", 0.0)
-
-
-def exact_oracle_point(i: int, cloud: PointCloud, max_subsets: int = MAX_SUBSETS) -> SeparabilityCertificate:
-    """Exact verdict for point i of a cloud versus all the others."""
-    i = check_int(i, "point index", 0, cloud.n)
-    return exact_point_vs_set(cloud.points[i], others_of(cloud.points, i), max_subsets)
 
 
 def _candidate_normals(x: list[float], others: list[list[float]]):

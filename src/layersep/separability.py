@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import gaps_positive_exactly
-from .errors import LPStallError, all_finite, check_int, check_point_set, check_real
+from .errors import LPStallError, all_finite, check_point_set, check_real
 from .geometry import PointCloud
 from .lp import solve_standard_form
 
@@ -55,14 +55,11 @@ __all__ = [
     "SetReport",
     "fisher_flags",
     "fisher_margins",
-    "fisher_separable_point",
     "fisher_separable_set",
     "gap_error_bound",
-    "linearly_separable_point",
     "linearly_separable_set",
     "fisher_point_vs_set",
     "lp_point_vs_set",
-    "others_of",
     "verify_certificate",
 ]
 
@@ -117,10 +114,11 @@ class SetReport:
     point handed past the Fisher screen, by index, whether the perceptron
     stage or the simplex decided it.  In verdict-only
     mode the inspected points, and so ``per_point``, stop at the first failure.
-    ``lp_calls`` counts the points handed past the Fisher screen and
-    ``lp_skipped_by_fisher`` the points the screen settled; their sum is the
-    number of linear checks.  ``simplex_runs`` counts the points of
-    ``lp_calls`` the perceptron did not certify, so the LP ran on them.
+    ``lp_skipped_by_fisher`` counts the points the screen settled.  The other
+    two counters are read off the certificates: ``lp_calls``, the points
+    handed past the screen (with ``lp_skipped_by_fisher``, the number of
+    linear checks), and ``simplex_runs``, those of them the perceptron did not
+    certify, so the LP ran on them.
     """
 
     all_separable: bool
@@ -128,9 +126,15 @@ class SetReport:
     flags: np.ndarray = field(repr=False, compare=False)
     points: np.ndarray = field(repr=False, compare=False)
     lp_certificates: dict = field(default_factory=dict, repr=False, compare=False)
-    lp_calls: int = 0
     lp_skipped_by_fisher: int = 0
-    simplex_runs: int = 0
+
+    @property
+    def lp_calls(self) -> int:
+        return len(self.lp_certificates)
+
+    @property
+    def simplex_runs(self) -> int:
+        return sum(cert.method == "lp" for cert in self.lp_certificates.values())
 
     @cached_property
     def margins(self) -> np.ndarray:
@@ -149,11 +153,6 @@ class SetReport:
 def _peak(a: np.ndarray) -> float:
     """``np.abs(a).max(initial=0.0)`` from two reductions, with no temporary."""
     return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0))) + 0.0  # no -0.0
-
-
-def others_of(points: np.ndarray, i: int) -> np.ndarray:
-    """The rows of ``points`` other than row i, in order: the set point i is checked against."""
-    return np.delete(points, i, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +270,6 @@ def fisher_point_vs_set(x: np.ndarray, others: np.ndarray) -> SeparabilityCertif
     return _fisher_certificate(x, _point_margin(x, np.ascontiguousarray(others)))
 
 
-def fisher_separable_point(i: int, cloud: PointCloud) -> SeparabilityCertificate:
-    """Is point i Fisher-separable from the rest of the cloud?"""
-    i = check_int(i, "point index", 0, cloud.n)
-    return fisher_point_vs_set(cloud.points[i], others_of(cloud.points, i))
-
-
 def fisher_separable_set(cloud: PointCloud, verdict_only: bool = False) -> SetReport:
     """Fisher 1-convexity: every point Fisher-separable from the others.
 
@@ -311,8 +304,7 @@ def lp_point_vs_set(
         return SeparabilityCertificate(
             "separable", "lp", float("inf"), hyperplane=x.copy()
         )
-    scale = max(_peak(others), _peak(x))
-    tol_eff = _scaled_tol(tol, scale)
+    tol_eff = tol * max(_peak(others), _peak(x))  # relative to the largest coordinate
 
     # min sum(u) + sum(v)  s.t.  (others - x).T @ lam + u - v = 0,  sum(lam) = 1:
     # x - others.T @ lam written with sum(lam) = 1, so that points within ~1e-9
@@ -352,12 +344,6 @@ def lp_point_vs_set(
                                    coefficients=result.x[:k].copy())
 
 
-def _scaled_tol(tol: float, scale: float) -> float:
-    """The LP's tolerance for an instance whose largest coordinate is ``scale``
-    (norms are <= 1 for shell clouds, so effectively absolute there)."""
-    return tol * scale if scale > 0.0 else tol
-
-
 def _perceptron_certificate(
     points: np.ndarray, i: int, peak: float, tol_eff: float
 ) -> SeparabilityCertificate | None:
@@ -386,14 +372,6 @@ def _perceptron_certificate(
     return None
 
 
-def linearly_separable_point(
-    i: int, cloud: PointCloud, tol: float = DEFAULT_TOL
-) -> SeparabilityCertificate:
-    """Is point i outside the convex hull of the rest of the cloud?"""
-    i = check_int(i, "point index", 0, cloud.n)
-    return lp_point_vs_set(cloud.points[i], others_of(cloud.points, i), tol)
-
-
 def linearly_separable_set(
     cloud: PointCloud, tol: float = DEFAULT_TOL, verdict_only: bool = False
 ) -> SetReport:
@@ -410,16 +388,13 @@ def linearly_separable_set(
     flags = fisher_flags(pts)
     lp_certificates: dict[int, SeparabilityCertificate] = {}
     first_failure = None
-    simplex_runs = 0
-    peak = tol_eff = None
+    peak = None
     for i in np.flatnonzero(~flags).tolist():
         if peak is None:  # a cloud the Fisher test settles pays nothing here
             peak = _peak(pts)
-            tol_eff = _scaled_tol(tol, peak)
-        cert = _perceptron_certificate(pts, i, peak, tol_eff)
+        cert = _perceptron_certificate(pts, i, peak, tol * peak)
         if cert is None:
-            cert = lp_point_vs_set(pts[i], others_of(pts, i), tol)
-            simplex_runs += 1
+            cert = lp_point_vs_set(pts[i], np.delete(pts, i, axis=0), tol)
         lp_certificates[i] = cert
         if not cert.separable and first_failure is None:
             first_failure = i
@@ -427,8 +402,7 @@ def linearly_separable_set(
                 flags = flags[: i + 1]
                 break
     skipped = int(np.count_nonzero(flags))
-    return SetReport(first_failure is None, first_failure, flags, pts, lp_certificates,
-                     len(lp_certificates), skipped, simplex_runs)
+    return SetReport(first_failure is None, first_failure, flags, pts, lp_certificates, skipped)
 
 
 # ---------------------------------------------------------------------------

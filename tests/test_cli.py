@@ -338,6 +338,24 @@ def test_check_point_mode_interior_query(tmp_path, capsys):
     assert "kind=linear separable=false" in out
 
 
+@pytest.mark.parametrize("mode", ["set", "point"])
+def test_check_output_independent_of_a_huge_scale(tmp_path, capsys, mode):
+    # squares of coordinates near 1e200 overflow; the shrink to the unit ball
+    # must still see the finite norm and give the unit triangle's bytes
+    def check(scale):
+        source = tmp_path / "triangle.csv"
+        rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+        source.write_text("".join(f"{x * scale!r},{y * scale!r}\n" for x, y in rows),
+                          encoding="utf-8")
+        assert main(["check", "--input", str(source), "--mode", mode]) == EXIT_OK
+        return capsys.readouterr().out
+
+    unit = check(1.0)
+    assert "separable=true" in unit and "false" not in unit
+    assert check(2.0**600) == unit
+    assert check(1e200) == unit
+
+
 def test_check_rejects_ragged_rows(tmp_path, capsys):
     source = tmp_path / "ragged.csv"
     source.write_text("0.1,0.2\n0.3\n", encoding="utf-8")

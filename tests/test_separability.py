@@ -7,7 +7,7 @@ import pytest
 
 from layersep import exact, separability
 from layersep.errors import DomainError, EnumerationLimitError, LPStallError
-from layersep.exact import exact_oracle_point, exact_point_vs_set
+from layersep.exact import exact_point_vs_set
 from layersep.geometry import LayerSpec, PointCloud, sample_layer
 from layersep.lp import SimplexResult, solve_standard_form
 from layersep.separability import (
@@ -18,10 +18,8 @@ from layersep.separability import (
     fisher_flags,
     fisher_margins,
     fisher_point_vs_set,
-    fisher_separable_point,
     fisher_separable_set,
     gap_error_bound,
-    linearly_separable_point,
     linearly_separable_set,
     lp_point_vs_set,
     verify_certificate,
@@ -35,13 +33,18 @@ def cloud_from(points, r=0.0, seed=0):
     return PointCloud(layer=LayerSpec(d=pts.shape[1], r=r), points=pts, seed=seed)
 
 
+def point_and_rest(cloud, i):
+    """Point i of the cloud and the set it is checked against: the other points."""
+    return cloud.points[i], np.delete(cloud.points, i, axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Fisher point checks
 
 
 def test_fisher_orthogonal_pair_separable():
     cloud = cloud_from([[1.0, 0.0], [0.0, 1.0]])
-    cert = fisher_separable_point(0, cloud)
+    cert = fisher_point_vs_set(*point_and_rest(cloud, 0))
     assert cert.verdict == "separable"
     assert cert.method == "fisher"
     assert cert.margin == pytest.approx(1.0)
@@ -50,7 +53,7 @@ def test_fisher_orthogonal_pair_separable():
 
 def test_fisher_shadowed_point_not_separable():
     cloud = cloud_from([[0.5, 0.0], [1.0, 0.0]])
-    cert = fisher_separable_point(0, cloud)
+    cert = fisher_point_vs_set(*point_and_rest(cloud, 0))
     assert cert.verdict == "not_separable"
     # (X,Y) = 0.5 >= (X,X) = 0.25
     assert cert.margin == pytest.approx(0.25 - 0.5)
@@ -58,7 +61,7 @@ def test_fisher_shadowed_point_not_separable():
 
 def test_fisher_singleton_vacuous():
     cloud = cloud_from([[0.3, 0.4]])
-    cert = fisher_separable_point(0, cloud)
+    cert = fisher_point_vs_set(*point_and_rest(cloud, 0))
     assert cert.verdict == "separable"
     assert cert.margin == math.inf
 
@@ -68,14 +71,6 @@ def test_fisher_exact_tie_is_not_separable():
     cert = fisher_point_vs_set(np.array([0.5, 0.0]), np.array([[0.5, 0.5]]))
     assert cert.verdict == "not_separable"
     assert cert.margin == 0.0
-
-
-def test_fisher_index_validation():
-    cloud = cloud_from([[1.0, 0.0]])
-    with pytest.raises(DomainError):
-        fisher_separable_point(1, cloud)
-    with pytest.raises(DomainError):
-        fisher_separable_point(-1, cloud)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +110,7 @@ def test_fisher_set_matches_per_point_calls():
     cloud = sample_layer(LayerSpec(d=6, r=0.3), 40, seed=3)
     report = fisher_separable_set(cloud)
     for i, cert in enumerate(report.per_point):
-        solo = fisher_separable_point(i, cloud)
+        solo = fisher_point_vs_set(*point_and_rest(cloud, i))
         assert solo.verdict == cert.verdict
         assert solo.margin == pytest.approx(cert.margin, rel=1e-12, abs=1e-15)
     assert report.all_separable == all(c.separable for c in report.per_point)
@@ -169,7 +164,7 @@ def test_fisher_margins_match_brute_force_across_blocks():
         got = fisher_margins(pts)
         assert got.shape == (n,)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
-        verdicts = [fisher_separable_point(i, cloud).separable for i in range(n)]
+        verdicts = [fisher_point_vs_set(*point_and_rest(cloud, i)).separable for i in range(n)]
         assert (got > 0.0).tolist() == verdicts
         assert fisher_flags(pts).tolist() == verdicts
 
@@ -198,7 +193,7 @@ def test_fisher_set_flags_equal_point_verdicts_on_ties(make):
     ties = 0
     for _ in range(200):
         cloud = make(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25)))
-        solo = [fisher_separable_point(i, cloud) for i in range(cloud.n)]
+        solo = [fisher_point_vs_set(*point_and_rest(cloud, i)) for i in range(cloud.n)]
         ties += sum(c.margin == 0.0 for c in solo)
         report = fisher_separable_set(cloud)
         assert [c.verdict for c in report.per_point] == [c.verdict for c in solo]
@@ -282,7 +277,7 @@ def eager_linear_set(cloud, verdict_only):
                 )
             )
             continue
-        cert = eager_perceptron(cloud.points, i) or linearly_separable_point(i, cloud)
+        cert = eager_perceptron(cloud.points, i) or lp_point_vs_set(*point_and_rest(cloud, i))
         certs.append(cert)
         if verdict_only and not cert.separable:
             break
@@ -350,7 +345,7 @@ def test_set_checks_compute_float64_margins_only_when_read(monkeypatch, check):
     assert report.margins.tolist() == [cert.margin for cert in certs]
     for i, cert in enumerate(certs):
         assert cert.method == "fisher"
-        assert cert.margin == fisher_separable_point(i, cloud).margin
+        assert cert.margin == fisher_point_vs_set(*point_and_rest(cloud, i)).margin
 
 
 # two points whose float32 Gram margin has the wrong sign, whatever the order
@@ -394,7 +389,7 @@ def assert_same_floats(got, want):
 
 
 def assert_reports_equal_point_checks(cloud, linear=True):
-    solo = [fisher_separable_point(i, cloud) for i in range(cloud.n)]
+    solo = [fisher_point_vs_set(*point_and_rest(cloud, i)) for i in range(cloud.n)]
     checks = (fisher_separable_set, linearly_separable_set) if linear else (fisher_separable_set,)
     for verdict_only in (False, True):
         for report in (check(cloud, verdict_only=verdict_only) for check in checks):
@@ -428,10 +423,10 @@ def test_set_report_overrules_a_wrong_float32_sign():
     rows = cloud.points.astype(np.float32)
     gram = rows @ rows.T
     assert gram[0, 0] - gram[0, 1] > 0.0
-    assert not fisher_separable_point(0, cloud).separable
+    assert not fisher_point_vs_set(*point_and_rest(cloud, 0)).separable
     assert_reports_equal_point_checks(cloud)
     cloud = cloud_from(SUBNORMAL_FLOAT32_SIGN)
-    assert fisher_separable_point(1, cloud).separable
+    assert fisher_point_vs_set(*point_and_rest(cloud, 1)).separable
     assert_reports_equal_point_checks(cloud)
 
 
@@ -470,7 +465,7 @@ def test_sign_band_sends_every_row_to_the_fallback_where_its_bound_fails():
 
 def test_lp_two_distinct_points_separable():
     cloud = cloud_from([[0.5, 0.0], [1.0, 0.0]])
-    cert = linearly_separable_point(0, cloud)
+    cert = lp_point_vs_set(*point_and_rest(cloud, 0))
     assert cert.verdict == "separable"
     assert cert.method == "lp"
     assert cert.hyperplane is not None
@@ -479,7 +474,7 @@ def test_lp_two_distinct_points_separable():
 
 def test_lp_midpoint_of_segment():
     cloud = cloud_from([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    cert = linearly_separable_point(1, cloud)
+    cert = lp_point_vs_set(*point_and_rest(cloud, 1))
     assert cert.verdict == "not_separable"
     assert cert.coefficients == pytest.approx([0.5, 0.5], abs=1e-9)
     others = np.array([[-1.0, 0.0], [1.0, 0.0]])
@@ -488,7 +483,7 @@ def test_lp_midpoint_of_segment():
 
 def test_lp_duplicate_point_not_separable():
     cloud = cloud_from([[0.5, 0.1], [0.5, 0.1], [0.9, 0.0]])
-    cert = linearly_separable_point(0, cloud)
+    cert = lp_point_vs_set(*point_and_rest(cloud, 0))
     assert cert.verdict == "not_separable"
 
 
@@ -511,7 +506,7 @@ def test_lp_margin_matches_l1_distance_on_square():
 def test_lp_tol_validation():
     cloud = cloud_from([[0.5, 0.0], [1.0, 0.0]])
     with pytest.raises(DomainError):
-        linearly_separable_point(0, cloud, tol=0.0)
+        lp_point_vs_set(cloud.points[0], cloud.points[1:], tol=0.0)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -654,7 +649,7 @@ def test_perceptron_stage_needs_its_rounding_band(monkeypatch):
 
 def test_exact_oracle_midpoint():
     cloud = cloud_from([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    cert = exact_oracle_point(1, cloud)
+    cert = exact_point_vs_set(*point_and_rest(cloud, 1))
     assert cert.verdict == "not_separable"
     assert cert.method == "exact_oracle"
 
@@ -673,20 +668,20 @@ def test_exact_oracle_triangle_barycentric():
 def test_exact_oracle_agrees_with_lp_small_random():
     cloud = sample_layer(LayerSpec(d=3, r=0.0), 12, seed=42)
     for i in range(cloud.n):
-        lp_cert = linearly_separable_point(i, cloud)
-        oracle_cert = exact_oracle_point(i, cloud)
+        lp_cert = lp_point_vs_set(*point_and_rest(cloud, i))
+        oracle_cert = exact_point_vs_set(*point_and_rest(cloud, i))
         assert lp_cert.verdict == oracle_cert.verdict, f"disagreement at point {i}"
 
 
 def test_exact_oracle_duplicate_point():
     cloud = cloud_from([[0.5, 0.1], [0.5, 0.1]])
-    assert exact_oracle_point(0, cloud).verdict == "not_separable"
+    assert exact_point_vs_set(*point_and_rest(cloud, 0)).verdict == "not_separable"
 
 
 def test_exact_oracle_size_guard():
     cloud = sample_layer(LayerSpec(d=6, r=0.0), 64, seed=1)
     with pytest.raises(EnumerationLimitError):
-        exact_oracle_point(0, cloud)
+        exact_point_vs_set(*point_and_rest(cloud, 0))
 
 
 def test_exact_oracle_vertex_of_simplex_separable():
@@ -1088,4 +1083,4 @@ def test_separable_hyperplane_exact_recheck():
             assert cert.hyperplane is not None
             assert oracles.exact_hyperplane_separates(cloud.points[i], others, cert.hyperplane)
         else:
-            assert exact_oracle_point(i, cloud).verdict == "not_separable"
+            assert exact_point_vs_set(*point_and_rest(cloud, i)).verdict == "not_separable"

@@ -1,6 +1,7 @@
 """Rules the package source must keep, checked on its syntax tree."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "layersep"
@@ -192,3 +193,16 @@ def test_one_thread_pool_per_run():
     assert [(name, owner) for name, owner, _ in found] == [
         ("experiments.py", "run_experiment")
     ], f"{POOL_CLASS} built at {found}"
+
+
+def test_every_export_resolves():
+    # a name left in an __all__ after its definition is deleted breaks
+    # `from layersep import *` and names an API that no longer exists
+    modules = ["layersep"] + [f"layersep.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+                              if path.stem not in ("__init__", "__main__")]
+    stale = []
+    for name in modules:
+        module = importlib.import_module(name)
+        stale += [f"{name}.{export}" for export in getattr(module, "__all__", ())
+                  if not hasattr(module, export)]
+    assert not stale, f"exports that resolve to nothing: {stale}"
