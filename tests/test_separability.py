@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +224,46 @@ def test_fisher_set_early_exit_returns_first_failure():
         assert len(quick.per_point) == first + 1
         assert quick.per_point[-1].verdict == "not_separable"
         assert len(full.per_point) == len(pts)
+
+
+@pytest.mark.parametrize("d", [10, 80])
+def test_fisher_flags_reuse_the_threads_gram_block(d):
+    # after a warm-up on this thread no Gram block is allocated: the peak stays
+    # below one block plus the two float32 copies of the cloud
+    n = 1000
+    pts = sample_layer(LayerSpec(d, 0.5), n, 3).points
+    want = fisher_flags(pts)
+    flags, peak = oracles.traced_peak(fisher_flags, pts)
+    assert flags.tolist() == want.tolist()
+    assert peak < FISHER_BLOCK * n * 4 + 2 * n * d * 4
+
+
+def test_fisher_flags_threads_share_no_gram_block():
+    # each thread grows its own buffer and reuses it as a prefix, in its own order
+    sizes = (1, FISHER_BLOCK - 1, FISHER_BLOCK + 1, 1000, 1300)
+    clouds = [sample_layer(LayerSpec(d, 0.5), n, seed=n + d).points
+              for n in sizes for d in (4, 30)]
+    want = [(fisher_flags(p).tolist(), fisher_flags(p, stop_at_failure=True).tolist())
+            for p in clouds]
+    assert any(len(quick) < len(full) for full, quick in want)
+    start = threading.Barrier(3)
+    got = {}
+
+    def scan(seed):
+        order = np.random.default_rng(seed).permutation(len(clouds)).tolist()
+        start.wait()
+        for _ in range(3):
+            for i in order:
+                got.setdefault((seed, i), []).append(
+                    (fisher_flags(clouds[i]).tolist(),
+                     fisher_flags(clouds[i], stop_at_failure=True).tolist()))
+
+    threads = [threading.Thread(target=scan, args=(seed,)) for seed in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == {(seed, i): [want[i]] * 3 for seed in range(3) for i in range(len(clouds))}
 
 
 def eager_fisher_set(cloud, verdict_only):
