@@ -263,7 +263,8 @@ def parse_args(argv) -> argparse.Namespace:
     p_exp.add_argument("--kinds", default="linear,fisher",
                        help="comma subset of linear,fisher")
     p_exp.add_argument("--workers", type=int, default=1, help="threads for the whole run, "
-                       "at most the usable cores, fed a bounded window of jobs")
+                       "at most the usable cores, fed a bounded window of jobs; cells with "
+                       "n*d < 20000 run on the calling thread")
     p_exp.add_argument("--measure-timing", action="store_true",
                        help="report each cell's summed trial times (breaks byte-identical reruns)")
     p_exp.add_argument("--output", default="-", help="file path or - for stdout")
@@ -383,8 +384,12 @@ def _run_check(ns) -> None:
     # Both checks are invariant under uniform positive scaling, so data that
     # overflows the unit ball is shrunk to fit rather than rejected.  The norms
     # are taken with the largest coordinate scaled into [0.5, 1) by a power of
-    # two, exact in the normal range, so that no square overflows.
+    # two, exact in the normal range, so that no square overflows.  Data whose
+    # largest square would be subnormal takes that scaling first, so that the
+    # checks' products do not underflow.
     exponent = math.frexp(float(np.abs(pts).max()))[1]
+    if 2 * exponent < -1021:
+        pts, exponent = np.ldexp(pts, -exponent), 0
     scaled = np.ldexp(pts, -exponent)
     max_norm = float(np.linalg.norm(scaled, axis=1).max())  # times 2**exponent
     if exponent > 1 or math.ldexp(max_norm, exponent) > 1.0:  # a coordinate >= 2: norm > 1

@@ -46,6 +46,7 @@ WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
 MODES = ("point_level", "set_level")
 CHECK_KINDS = ("linear", "fisher")
 JOBS_PER_WORKER = 8  # jobs in the pool per worker, from the oldest not yet consumed
+POOL_MIN_COORDS = 20_000  # a cell whose trials draw fewer coordinates (n·d) skips the pool
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,9 @@ class ExperimentPlan:
         master_seed: 64-bit root of every RNG stream in the run.
         tol: LP margin tolerance passed through to the linear checks.
         check_kinds: which verdicts to record, subset of {'linear', 'fisher'}.
-        workers: threads, at most the usable cores; any value yields identical records.
+        workers: threads, at most the usable cores; cells with
+            n·d < POOL_MIN_COORDS run on the calling thread.  Any value yields
+            identical records.
         deterministic_timing: report wall_time_seconds as 0.0 so repeated runs
             serialize byte-identically.
     """
@@ -222,24 +225,37 @@ def run_experiment(plan: ExperimentPlan) -> list[ExperimentRecord]:
         return (*trial_fn(plan, *job), time.perf_counter() - start)
 
     # one pool for the whole run, no wider than the usable cores: workers pull the
-    # next (cell, trial) job with no barrier at cell ends; outcomes come in job order
+    # next (cell, trial) job with no barrier at cell ends; outcomes come in job order.
+    # A cell below POOL_MIN_COORDS runs on the calling thread, alone: its trials are
+    # chains of small NumPy calls, and a second thread taking the GIL at each one
+    # costs more than it gives
     jobs = ((layer, t) for layer in cells for t in range(plan.trials))
     affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
     workers = min(plan.workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    wide = workers > 1 and plan.n * plan.d_values[-1] >= POOL_MIN_COORDS
+    pool = ThreadPoolExecutor(max_workers=workers) if wide else None
     try:
-        outcomes = (map(timed_trial, jobs) if pool is None
-                    else _windowed_map(pool, timed_trial, jobs, JOBS_PER_WORKER * workers))
+        outcomes = _windowed_map(pool, timed_trial, jobs, JOBS_PER_WORKER * workers,
+                                 lambda job: wide and plan.n * job[0].d >= POOL_MIN_COORDS)
         return [_cell_record(plan, layer, list(islice(outcomes, plan.trials))) for layer in cells]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)  # after an error, no job not yet started runs
 
 
-def _windowed_map(pool, fn, jobs, window):
-    """``pool.map(fn, jobs)`` holding at most ``window`` submitted jobs not yet consumed."""
-    pending = [pool.submit(fn, job) for job in islice(jobs, window)]
-    while pending:
-        outcome = pending.pop(0).result()
-        pending.extend(pool.submit(fn, job) for job in islice(jobs, 1))
-        yield outcome
+def _windowed_map(pool, fn, jobs, window, pooled):
+    """``map(fn, jobs)``, where a job for which ``pooled(job)`` holds runs in
+    ``pool``, which holds at most ``window`` submitted jobs not yet consumed.  Any
+    other job runs on the calling thread once every earlier job is consumed, and
+    no later job is submitted before it is done."""
+    pending = []
+    for job in jobs:
+        inline = not pooled(job)
+        while pending and (inline or len(pending) == window):
+            yield pending.pop(0).result()
+        if inline:
+            yield fn(job)
+        else:
+            pending.append(pool.submit(fn, job))
+    for future in pending:
+        yield future.result()

@@ -301,6 +301,17 @@ def test_experiment_cli_byte_identical_across_workers(tmp_path):
     assert out1.read_bytes() == out4.read_bytes()
 
 
+@pytest.mark.parametrize("mode", ["point", "set"])
+def test_experiment_cli_byte_identical_across_the_pool_threshold(tmp_path, mode):
+    # n·d of 4,000 and 18,000 run on the calling thread, 20,000 and 24,000 in the pool
+    base = ["experiment", "--mode", mode, "--d", "2,9,10,12", "--r", "0,0.5",
+            "--n", "2000", "--trials", "3", "--seed", "314"]
+    out1, out4 = tmp_path / "w1.csv", tmp_path / "w4.csv"
+    assert main(base + ["--workers", "1", "--output", str(out1)]) == EXIT_OK
+    assert main(base + ["--workers", "4", "--output", str(out4)]) == EXIT_OK
+    assert out1.read_bytes() == out4.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # sample and check subcommands
 
@@ -354,6 +365,28 @@ def test_check_output_independent_of_a_huge_scale(tmp_path, capsys, mode):
     assert "separable=true" in unit and "false" not in unit
     assert check(2.0**600) == unit
     assert check(1e200) == unit
+
+
+@pytest.mark.parametrize("mode", ["set", "point"])
+@pytest.mark.parametrize("kind", ["fisher", "linear"])
+def test_check_verdicts_independent_of_a_tiny_scale(tmp_path, capsys, mode, kind):
+    # at 2**-600 every square underflows; the input is scaled up exactly first,
+    # so the verdict fields are the unit triangle's (the printed margin scales)
+    def verdict(scale):
+        source = tmp_path / "triangle.csv"
+        rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+        source.write_text("".join(f"{x * scale!r},{y * scale!r}\n" for x, y in rows),
+                          encoding="utf-8")
+        argv = ["check", "--input", str(source), "--mode", mode, "--kind", kind]
+        assert main(argv) == EXIT_OK
+        fields = dict(field.split("=") for field in capsys.readouterr().out.split())
+        fields.pop("margin", None)
+        return fields
+
+    unit = verdict(1.0)
+    assert unit["kind"] == kind and "true" in unit.values()
+    assert verdict(2.0**-600) == unit
+    assert verdict(2.0**-1070) == unit  # subnormal input
 
 
 def test_check_rejects_ragged_rows(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -265,9 +266,10 @@ def test_wall_time_sums_the_trial_durations(monkeypatch):
 
 def test_pool_holds_a_bounded_window_of_jobs(monkeypatch):
     # a full-size set plan has 19,200 jobs; the runner submits a few per
-    # worker ahead of the oldest outcome it has not yet consumed
+    # worker ahead of the oldest outcome it has not yet consumed; at n = 20,000
+    # every cell reaches POOL_MIN_COORDS, so every job goes to the pool
     plan = base_plan(mode="set_level", d_values=range(1, 81), r_values=(0.0, 0.5, 0.8, 0.9),
-                     trials=60, workers=2)
+                     n=20_000, trials=60, workers=2)
     held, peak, submitted = set(), [0], [0]
     result = Future.result
 
@@ -304,3 +306,126 @@ def test_pool_is_no_wider_than_the_usable_cores(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
     assert run_experiment(dataclasses.replace(plan, workers=4)) == serial
+
+
+# ---------------------------------------------------------------------------
+# the pool threshold: cells with n·d >= POOL_MIN_COORDS go to the pool, the
+# rest run on the calling thread with no pooled job in flight
+
+
+def straddling_plan(mode, **overrides):
+    # n·d of 4,000, 18,000, 20,000 and 24,000 within each r
+    fields = dict(mode=mode, d_values=(2, 9, 10, 12), n=2000, trials=3,
+                  deterministic_timing=True)
+    fields.update(overrides)
+    return base_plan(**fields)
+
+
+def counting_pool(submitted):
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            layer, _ = args[0]
+            submitted.append((layer.r, layer.d))
+            return super().submit(fn, *args)
+
+    return CountingPool
+
+
+@pytest.mark.parametrize("mode", ["point_level", "set_level"])
+def test_cells_straddling_the_threshold_give_the_serial_records(monkeypatch, mode):
+    serial = run_experiment(straddling_plan(mode))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for workers in (2, 3):
+        submitted = []
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", counting_pool(submitted))
+        plan = straddling_plan(mode, workers=workers)
+        assert run_experiment(plan) == serial, workers
+        pooled = [(r, d) for r in plan.r_values for d in (10, 12) for _ in range(plan.trials)]
+        assert submitted == pooled, workers
+
+
+@pytest.mark.parametrize("n, d_values, pooled_d", [(2857, (7, 8), 8), (2000, (9, 10), 10)])
+def test_pool_threshold_is_inclusive(monkeypatch, n, d_values, pooled_d):
+    # n·d = 19,999 runs on the calling thread, and 20,000 goes to the pool
+    assert 2857 * 7 == experiments.POOL_MIN_COORDS - 1 == 2000 * 10 - 1
+    submitted = []
+    monkeypatch.setattr(experiments, "_set_trial", lambda plan, layer, trial_idx: (1, 1, 0, 1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", counting_pool(submitted))
+    plan = base_plan(mode="set_level", d_values=d_values, r_values=(0.5,), n=n, trials=4,
+                     workers=2)
+    assert len(run_experiment(plan)) == 2
+    assert submitted == [(0.5, pooled_d)] * 4
+
+
+@pytest.mark.parametrize("d_values, cores", [((2, 9), {0, 1}), ((2, 9, 10, 12), {0})])
+def test_no_pool_without_a_large_cell_or_a_second_core(monkeypatch, d_values, cores):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    plan = straddling_plan("set_level", d_values=d_values, trials=2)
+    serial = run_experiment(plan)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    assert run_experiment(dataclasses.replace(plan, workers=2)) == serial
+
+
+def test_wall_time_sums_pooled_trial_durations(monkeypatch):
+    # pooled trials of a cell overlap each other and the next cell's
+    def trial(plan, layer, trial_idx):
+        time.sleep(0.02)
+        return True, True, 0, 1
+
+    monkeypatch.setattr(experiments, "_set_trial", trial)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    plan = base_plan(mode="set_level", r_values=(0.5,), n=20_000, trials=4, workers=2)
+    records = run_experiment(plan)
+    assert len(records) == 2
+    assert all(record.wall_time_seconds >= 0.075 for record in records)
+
+
+def test_inline_trials_run_with_no_pooled_job_in_flight(monkeypatch):
+    lock, running, overlaps, max_pooled = threading.Lock(), set(), [], [0]
+    caller = threading.get_ident()
+
+    def trial(plan, layer, trial_idx):
+        job = (layer.r, layer.d, trial_idx)
+        inline = plan.n * layer.d < experiments.POOL_MIN_COORDS
+        with lock:
+            running.add(job)
+            if inline and (running != {job} or threading.get_ident() != caller):
+                overlaps.append((job, sorted(running)))
+            if not inline:
+                max_pooled[0] = max(max_pooled[0], len(running))
+        time.sleep(0.003)
+        with lock:
+            running.discard(job)
+        return True, True, 0, 1
+
+    monkeypatch.setattr(experiments, "_set_trial", trial)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    records = run_experiment(straddling_plan("set_level", trials=6, workers=2))
+    assert len(records) == 8
+    assert overlaps == []
+    assert max_pooled[0] == 2  # pooled trials do run side by side
+
+
+def test_failed_pooled_trial_cancels_the_jobs_not_started(monkeypatch):
+    plan = base_plan(mode="set_level", d_values=range(1, 21), n=20_000, trials=4, workers=2)
+    failing = (plan.r_values[0], plan.d_values[2])  # the third cell, in the pool
+    started = []
+
+    def trial(plan, layer, trial_idx):
+        started.append((layer.r, layer.d))
+        if (layer.r, layer.d) == failing:
+            raise LPStallError("stalled")
+        time.sleep(0.01)
+        return True, True, 0, 1
+
+    monkeypatch.setattr(experiments, "_set_trial", trial)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(LPStallError):
+        run_experiment(plan)
+    total = len(plan.d_values) * len(plan.r_values) * plan.trials
+    assert total >= 160 and failing in started
+    assert len(started) < total / 2, f"{len(started)} of {total} trials started"
