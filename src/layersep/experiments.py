@@ -224,38 +224,33 @@ def run_experiment(plan: ExperimentPlan) -> list[ExperimentRecord]:
         start = time.perf_counter()
         return (*trial_fn(plan, *job), time.perf_counter() - start)
 
-    # one pool for the whole run, no wider than the usable cores: workers pull the
-    # next (cell, trial) job with no barrier at cell ends; outcomes come in job order.
-    # A cell below POOL_MIN_COORDS runs on the calling thread, alone: its trials are
+    # a cell below POOL_MIN_COORDS runs on the calling thread, alone: its trials are
     # chains of small NumPy calls, and a second thread taking the GIL at each one
-    # costs more than it gives
-    jobs = ((layer, t) for layer in cells for t in range(plan.trials))
+    # costs more than it gives.  Those cells all run before the pool starts, so it
+    # never has to drain between cells; records still come in emit order
     affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
     workers = min(plan.workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    wide = workers > 1 and plan.n * plan.d_values[-1] >= POOL_MIN_COORDS
-    pool = ThreadPoolExecutor(max_workers=workers) if wide else None
+    pooled = [workers > 1 and plan.n * layer.d >= POOL_MIN_COORDS for layer in cells]
+    inline = {layer: [timed_trial((layer, t)) for t in range(plan.trials)]
+              for layer, wide in zip(cells, pooled) if not wide}
+    # one pool for the other cells, no wider than the usable cores: workers pull the
+    # next (cell, trial) job with no barrier at cell ends; outcomes come in job order
+    jobs = ((layer, t) for layer, wide in zip(cells, pooled) if wide for t in range(plan.trials))
+    pool = ThreadPoolExecutor(max_workers=workers) if any(pooled) else None
     try:
-        outcomes = _windowed_map(pool, timed_trial, jobs, JOBS_PER_WORKER * workers,
-                                 lambda job: wide and plan.n * job[0].d >= POOL_MIN_COORDS)
-        return [_cell_record(plan, layer, list(islice(outcomes, plan.trials))) for layer in cells]
+        outcomes = (map(timed_trial, jobs) if pool is None
+                    else _windowed_map(pool, timed_trial, jobs, JOBS_PER_WORKER * workers))
+        return [_cell_record(plan, layer, inline[layer] if layer in inline
+                             else list(islice(outcomes, plan.trials))) for layer in cells]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)  # after an error, no job not yet started runs
 
 
-def _windowed_map(pool, fn, jobs, window, pooled):
-    """``map(fn, jobs)``, where a job for which ``pooled(job)`` holds runs in
-    ``pool``, which holds at most ``window`` submitted jobs not yet consumed.  Any
-    other job runs on the calling thread once every earlier job is consumed, and
-    no later job is submitted before it is done."""
-    pending = []
-    for job in jobs:
-        inline = not pooled(job)
-        while pending and (inline or len(pending) == window):
-            yield pending.pop(0).result()
-        if inline:
-            yield fn(job)
-        else:
-            pending.append(pool.submit(fn, job))
-    for future in pending:
-        yield future.result()
+def _windowed_map(pool, fn, jobs, window):
+    """``pool.map(fn, jobs)`` holding at most ``window`` submitted jobs not yet consumed."""
+    pending = [pool.submit(fn, job) for job in islice(jobs, window)]
+    while pending:
+        outcome = pending.pop(0).result()
+        pending.extend(pool.submit(fn, job) for job in islice(jobs, 1))
+        yield outcome

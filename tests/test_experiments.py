@@ -410,6 +410,27 @@ def test_inline_trials_run_with_no_pooled_job_in_flight(monkeypatch):
     assert max_pooled[0] == 2  # pooled trials do run side by side
 
 
+def test_small_cells_run_before_the_pool_starts(monkeypatch):
+    # a small cell opens each r of the plan; running every small cell first
+    # means the pool never drains between cells, and records keep emit order
+    started = []
+
+    def trial(plan, layer, trial_idx):
+        started.append((layer.r, layer.d, trial_idx))
+        return True, True, 0, 1
+
+    monkeypatch.setattr(experiments, "_set_trial", trial)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    plan = straddling_plan("set_level", trials=2, workers=2)
+    records = run_experiment(plan)
+    assert [(rec.r, rec.d) for rec in records] == [
+        (r, d) for r in plan.r_values for d in plan.d_values]
+    small = [(r, d, t) for r in plan.r_values for d in (2, 9) for t in range(2)]
+    large = [(r, d, t) for r in plan.r_values for d in (10, 12) for t in range(2)]
+    assert started[:len(small)] == small
+    assert sorted(started[len(small):]) == large
+
+
 def test_failed_pooled_trial_cancels_the_jobs_not_started(monkeypatch):
     plan = base_plan(mode="set_level", d_values=range(1, 21), n=20_000, trials=4, workers=2)
     failing = (plan.r_values[0], plan.d_values[2])  # the third cell, in the pool
