@@ -29,6 +29,7 @@ import numpy as np
 
 from . import asymptotics as asymptotics_mod
 from .bounds import BOUND_IDS, COUNT_BOUND_IDS, evaluate_bound
+from .dyadic import scale_exponent
 from .errors import (DomainError, EnumerationLimitError, LPStallError, all_finite,
                      check_int, check_real)
 from .experiments import ExperimentPlan, ExperimentRecord, run_experiment
@@ -387,7 +388,7 @@ def _run_check(ns) -> None:
     # two, exact in the normal range, so that no square overflows.  Data whose
     # largest square would be subnormal takes that scaling first, so that the
     # checks' products do not underflow.
-    exponent = math.frexp(float(np.abs(pts).max()))[1]
+    exponent = scale_exponent(pts)
     if 2 * exponent < -1021:
         pts, exponent = np.ldexp(pts, -exponent), 0
     scaled = np.ldexp(pts, -exponent)

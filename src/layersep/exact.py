@@ -8,8 +8,8 @@ proves ``X not in conv(M)``: were ``X = sum(lam_j Y_j)`` with lam >= 0 summing
 to 1, then ``0 = (A, X - X) = sum(lam_j (A, X - Y_j)) > 0``.  Candidates come
 from floats: the Fisher normal A = X, then the normal after each of at most
 ``PERCEPTRON_STEPS`` perceptron steps ``A <- A + (X - Y*) / 2``, with Y* the
-point of largest ``(A, Y)``.  The search runs on a copy scaled by the power of
-two that brings the largest coordinate below 1, so no product overflows.  It
+point of largest ``(A, Y)``.  The search runs on a copy scaled by ``2**-e``,
+with e from :func:`layersep.dyadic.scale_exponent`, so no product overflows.  It
 only proposes: a candidate whose float gaps are not all > 0 is skipped, and
 one whose float gaps are counts only if every gap is positive in exact integer
 arithmetic (:func:`layersep.dyadic.gaps_positive_exactly`).  Rounding can cost
@@ -20,29 +20,17 @@ Enumeration.  Otherwise X is in the hull iff some subset of at most d+1 points
 of M contains it in its convex hull (Caratheodory), and each subset is settled
 by solving its barycentric linear system exactly.  No proof exists for a point
 of the hull, so a ``not_separable`` certificate always comes from the first
-such subset, smallest size first and in lexicographic order.
-
-The system is solved on integers.  One common power of two makes every
-coordinate of X and M an exact Python int (:mod:`layersep.dyadic`).  Only the
+such subset, smallest size first and in lexicographic order.  The systems are
+solved on integers (:func:`layersep.dyadic.barycentric_if_inside`): one common
+power of two makes every coordinate of X and M an exact Python int.  Only the
 d coordinate equations are scaled, on both sides, so the solution is unchanged
-and the affine row ``sum(lam) = 1`` stays all ones.
-
-Each subset's (d+1) x (k+1) integer system is reduced by fraction-free Gaussian
-elimination (Bareiss 1968): step t replaces every entry below and to the right
-of the pivot ``a_tt`` by ``(a_tt a_ij - a_it a_tj) / p``, with p the previous
-pivot.  By Sylvester's determinant identity each result is a (t+1) x (t+1)
-minor of the row-permuted input, an integer, so every division is exact and
-the numbers stay as large as a determinant, not as a product of them.  The
-last pivot is the determinant ``den`` of the k x k system, so by Cramer's rule
-``num_j = den * lam_j`` are integers too, and a fraction-free back
-substitution finds them with exact divisions.  The consistency and sign tests
-are integer comparisons, and each coefficient is one int true division,
-``num_j / den``, which Python rounds correctly.
+and the affine row ``sum(lam) = 1`` stays all ones.  Each coefficient is one
+correctly rounded int true division, ``num_j / den``.
 
 The subset count grows combinatorially, so instances are guarded (guideline
 n <= 64, d <= 6; the hard cap is on the enumeration size).  This module is
-the ground truth the LP path is tested against and deliberately shares no
-code with it.
+the ground truth for the LP path and shares only ``dyadic.peak`` with it,
+which here only picks the search's exponent: it can cost a proof, never fake one.
 """
 
 from __future__ import annotations
@@ -52,7 +40,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dyadic import gaps_positive_exactly, scaled_to_integers
+from .dyadic import barycentric_if_inside, gaps_positive_exactly, scale_exponent, scaled_to_integers
 from .errors import EnumerationLimitError, check_int, check_point_set
 from .separability import PERCEPTRON_STEPS, SeparabilityCertificate
 
@@ -83,13 +71,13 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
             f"instance m={m}, d={d} is too large for the exact oracle"
         )
     x_list, others_list = x.tolist(), others.tolist()
-    if any(gaps_positive_exactly(normal, x_list, others_list)
-           for normal in _candidate_normals(x_list, others_list)):
+    normals = _candidate_normals(x_list, others_list, scale_exponent(x, others))
+    if any(gaps_positive_exactly(normal, x_list, others_list) for normal in normals):
         return SeparabilityCertificate("separable", "exact_oracle", 0.0)
     target, *points = scaled_to_integers([x_list, *others_list])
     for k in range(1, k_max + 1):
         for subset in combinations(range(m), k):
-            solution = _barycentric_if_inside(target, [points[j] for j in subset])
+            solution = barycentric_if_inside(target, [points[j] for j in subset])
             if solution is not None:
                 nums, den = solution
                 coeffs = np.zeros(m)
@@ -101,19 +89,19 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
     return SeparabilityCertificate("separable", "exact_oracle", 0.0)
 
 
-def _candidate_normals(x: list[float], others: list[list[float]]):
+def _candidate_normals(x: list[float], others: list[list[float]], exponent: int):
     """Float normals A whose computed gaps (A, x) - (A, y) are all > 0, as lists.
 
-    The Fisher normal A = x first, then the normal after each perceptron step.
-    Scaling by a power of two is exact (into the subnormal range it drops bits,
-    which only changes what is proposed).  With every coordinate below 1, each
-    step adds at most 1 to max|A|, so every candidate and product is finite.
+    The Fisher normal A = x first, then the normal after each perceptron step,
+    all on x and ``others`` times ``2**-exponent``.  That scaling is exact (into
+    the subnormal range it drops bits, which only changes what is proposed).
+    With every coordinate below 1, each step adds at most 1 to max|A|, so every
+    candidate and product is finite.
     The search runs on Python floats: on instances this small they beat
     numpy's per-call cost, and they hold the GIL, where ``np.argmax`` drops it
     on every call and so hands it back and forth between threads that run the
     oracle side by side.  A point in R^0 has exponent 0 and no candidate.
     """
-    exponent = math.frexp(max((abs(v) for row in (x, *others) for v in row), default=0.0))[1]
     x = [math.ldexp(v, -exponent) for v in x]
     others = [[math.ldexp(v, -exponent) for v in y] for y in others]
     normal = x
@@ -128,50 +116,3 @@ def _candidate_normals(x: list[float], others: list[list[float]]):
 
 def _dot(a: list[float], b: list[float]) -> float:
     return sum(ak * bk for ak, bk in zip(a, b))
-
-
-def _barycentric_if_inside(target, columns):
-    """Solve sum(lam_j y_j) = target, sum(lam_j) = 1 exactly; require lam >= 0.
-
-    ``target`` and each column are the integer coordinates of x and of the
-    subset's points.  Returns ``(nums, den)`` with den > 0 and lam_j =
-    nums[j] / den when the (d+1) x k system is consistent with a unique
-    nonnegative solution, else None.  Rank-deficient subsets return None: by
-    Caratheodory any hull membership is witnessed by some affinely independent
-    subset, which an earlier (smaller) enumeration size covers.
-    """
-    k = len(columns)
-    # augmented matrix: d coordinate equations plus the affine row of ones
-    pending = [[col[row] for col in columns] + [value] for row, value in enumerate(target)]
-    pending.append([1] * (k + 1))
-    # pending rows hold the columns t..k not yet eliminated; eliminated rows
-    # keep their pivot and the entries to its right, for the back substitution
-    eliminated = []
-    previous = 1
-    for _ in range(k):
-        pivot_row = next((i for i, row in enumerate(pending) if row[0]), None)
-        if pivot_row is None:
-            return None  # affinely dependent subset
-        pending[0], pending[pivot_row] = pending[pivot_row], pending[0]
-        top, *rest = pending
-        pivot, tail = top[0], top[1:]
-        pending = [
-            [(pivot * a - row[0] * b) // previous for a, b in zip(row[1:], tail)]
-            for row in rest
-        ]
-        eliminated.append(top)
-        previous = pivot
-    # consistency of the remaining equations: only their right-hand side is left
-    if any(row[0] for row in pending):
-        return None
-    den = previous
-    nums = []  # num_j = den * lam_j, from the last row up
-    for top in reversed(eliminated):
-        rhs = den * top[-1] - sum(a * num for a, num in zip(top[1:-1], reversed(nums)))
-        nums.append(rhs // top[0])
-    nums.reverse()
-    if den < 0:  # a positive denominator keeps the signs of lam, and 0 / den at +0.0
-        den, nums = -den, [-num for num in nums]
-    if any(num < 0 for num in nums):
-        return None
-    return nums, den

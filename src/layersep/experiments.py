@@ -238,8 +238,8 @@ def run_experiment(plan: ExperimentPlan) -> list[ExperimentRecord]:
     jobs = ((layer, t) for layer, wide in zip(cells, pooled) if wide for t in range(plan.trials))
     pool = ThreadPoolExecutor(max_workers=workers) if any(pooled) else None
     try:
-        outcomes = (map(timed_trial, jobs) if pool is None
-                    else _windowed_map(pool, timed_trial, jobs, JOBS_PER_WORKER * workers))
+        # without a pool there are no jobs, and the map never calls pool.submit
+        outcomes = _windowed_map(pool, timed_trial, jobs, JOBS_PER_WORKER * workers)
         return [_cell_record(plan, layer, inline[layer] if layer in inline
                              else list(islice(outcomes, plan.trials))) for layer in cells]
     finally:

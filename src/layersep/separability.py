@@ -16,18 +16,18 @@ Two notions of separability for a point X against a finite set M:
 
 Set-level checks ask whether every point is separable from the others
 (1-convexity).  Both use only the sign of each Fisher margin, from one float32
-blockwise Gram kernel, ``fisher_flags``, whose rounding band sends close calls
-to the point check's float64 product, so every sign is that check's verdict.
-Margin values are computed only when read, and equal its margins bit for bit.
-The linear set check is a cascade
-(Gorban et al. 2018): a point that fails the Fisher test gets at most
-``PERCEPTRON_STEPS`` perceptron steps from its Fisher normal X, and only a
-point the perceptron does not certify goes to the simplex.  Novikoff (1962)
-bounds the steps a perceptron needs by (R / gamma)^2, so well-separated points
-are settled by a few matvecs.  The matvec over all n points runs in NumPy, the
-d-sized update on Python floats, with the same operations in the same order
-(see :mod:`layersep.lp`).  A perceptron normal is accepted only when its
-computed margin exceeds the LP's tolerance by more than the rounding-error
+blockwise Gram kernel, ``fisher_flags``, run on the cloud scaled by
+``2**-dyadic.scale_exponent``; its rounding band sends close calls to the point
+check's float64 product, so every sign is that check's verdict.  Margin values
+are computed only when read, and equal its margins bit for bit.  The linear set
+check is a cascade (Gorban et al. 2018): a point that fails the Fisher test
+gets at most ``PERCEPTRON_STEPS`` perceptron steps from its Fisher normal X,
+and only a point the perceptron does not certify goes to the simplex.  Novikoff
+(1962) bounds the steps a perceptron needs by (R / gamma)^2, so well-separated
+points are settled by a few matvecs.  The matvec over all n points runs in
+NumPy, the d-sized update on Python floats, with the same operations in the
+same order (see :mod:`layersep.lp`).  A perceptron normal is accepted only when
+its computed margin exceeds the LP's tolerance by more than the rounding-error
 bound of the products (``gap_error_bound``), so it certifies only points whose
 LP margin exceeds that tolerance: points the LP calls separable.
 
@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import gaps_positive_exactly
+from .dyadic import gaps_positive_exactly, peak, scale_exponent
 from .errors import LPStallError, all_finite, check_point_set, check_real
 from .geometry import PointCloud
 from .lp import solve_standard_form
@@ -151,11 +151,6 @@ class SetReport:
         )
 
 
-def _peak(a: np.ndarray) -> float:
-    """``np.abs(a).max(initial=0.0)`` from two reductions, with no temporary."""
-    return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0))) + 0.0  # no -0.0
-
-
 # ---------------------------------------------------------------------------
 # Fisher checks
 
@@ -204,9 +199,9 @@ def _sign_band(d: int, norms: np.ndarray, exponent: int) -> np.ndarray:
     ``_point_margin`` on the unscaled row.  +inf (the float64 fallback) where
     the bound fails: d + 2 >= 2**24, a norm negative or not finite, or unscaled
     float64 products that may overflow."""
-    peak = float(np.max(norms, initial=0.0))
+    norm_peak = float(np.max(norms, initial=0.0))
     k = d + 2
-    if not (k * 2.0**-24 < 1.0 and math.isfinite(peak) and np.min(norms, initial=0.0) >= 0.0
+    if not (k * 2.0**-24 < 1.0 and math.isfinite(norm_peak) and np.min(norms, initial=0.0) >= 0.0
             and 2 * exponent + d.bit_length() <= 1020):
         return np.full(np.shape(norms), np.inf)
     # Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1: with
@@ -220,7 +215,7 @@ def _sign_band(d: int, norms: np.ndarray, exponent: int) -> np.ndarray:
     # unscaled float64 (the cap drops only a term that makes every band huge)
     floor = d * 2.0**-146 + math.ldexp(d, min(-1073 - 2 * exponent, 900))
     # the last factor covers rounding in the float32 subtraction, the norms and here
-    return ((2.0 * (gamma32 + gamma64) * peak) * norms + floor) * (1.0 + 2.0**-20)
+    return ((2.0 * (gamma32 + gamma64) * norm_peak) * norms + floor) * (1.0 + 2.0**-20)
 
 
 def fisher_flags(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarray:
@@ -237,7 +232,7 @@ def fisher_flags(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarra
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, d = points.shape
     # scaled so that max|coord| lies in [0.5, 1): nothing overflows float32
-    exponent = math.frexp(_peak(points))[1]
+    exponent = scale_exponent(points)
     scaled = np.ldexp(points, -exponent) if exponent else points
     band = _sign_band(d, np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
     rows = scaled.astype(np.float32)
@@ -316,7 +311,7 @@ def lp_point_vs_set(
         return SeparabilityCertificate(
             "separable", "lp", float("inf"), hyperplane=x.copy()
         )
-    tol_eff = tol * max(_peak(others), _peak(x))  # relative to the largest coordinate
+    tol_eff = tol * peak(x, others)  # relative to the largest coordinate
 
     # min sum(u) + sum(v)  s.t.  (others - x).T @ lam + u - v = 0,  sum(lam) = 1:
     # x - others.T @ lam written with sum(lam) = 1, so that points within ~1e-9
@@ -342,9 +337,9 @@ def lp_point_vs_set(
     margin_star = result.objective
     if margin_star > tol_eff:
         normal = result.duals[:d].copy()
-        peak = _peak(normal)
-        if peak > 1.0:  # rounding can poke the box constraint by ~1e-15
-            normal /= peak
+        normal_peak = peak(normal)
+        if normal_peak > 1.0:  # rounding can poke the box constraint by ~1e-15
+            normal /= normal_peak
         achieved = float(np.min((x - others) @ normal))
         if not achieved > 0.0:
             raise LPStallError(
@@ -357,7 +352,7 @@ def lp_point_vs_set(
 
 
 def _perceptron_certificate(
-    points: np.ndarray, i: int, peak: float, tol_eff: float
+    points: np.ndarray, i: int, points_peak: float, tol_eff: float
 ) -> SeparabilityCertificate | None:
     """Separate row i from the other rows by perceptron steps from A = X, or None.
 
@@ -366,7 +361,7 @@ def _perceptron_certificate(
     gap (A, X) - (A, Y) exceeds the LP's tolerance scaled by max|A| by more
     than the rounding-error bound: then A / max|A| is a feasible normal of the
     margin program with a margin above ``tol_eff``, which the LP calls
-    separable.  ``peak`` is max |points|.
+    separable.  ``points_peak`` is max |points|.
     """
     x = a = points[i].tolist()
     x_peak = max(map(abs, x))
@@ -378,7 +373,7 @@ def _perceptron_certificate(
         j = int(products.argmax())
         gap = float(top - products[j])
         a_peak = max(map(abs, a))
-        if gap > gap_error_bound(len(x), a_peak, x_peak, peak) + tol_eff * a_peak:
+        if gap > gap_error_bound(len(x), a_peak, x_peak, points_peak) + tol_eff * a_peak:
             return SeparabilityCertificate("separable", "perceptron", gap, hyperplane=normal)
         a = [ak + 0.5 * (xk - yk) for ak, xk, yk in zip(a, x, points[j].tolist())]
     return None
@@ -400,11 +395,11 @@ def linearly_separable_set(
     flags = fisher_flags(pts)
     lp_certificates: dict[int, SeparabilityCertificate] = {}
     first_failure = None
-    peak = None
+    pts_peak = None
     for i in np.flatnonzero(~flags).tolist():
-        if peak is None:  # a cloud the Fisher test settles pays nothing here
-            peak = _peak(pts)
-        cert = _perceptron_certificate(pts, i, peak, tol * peak)
+        if pts_peak is None:  # a cloud the Fisher test settles pays nothing here
+            pts_peak = peak(pts)
+        cert = _perceptron_certificate(pts, i, pts_peak, tol * pts_peak)
         if cert is None:
             cert = lp_point_vs_set(pts[i], np.delete(pts, i, axis=0), tol)
         lp_certificates[i] = cert
@@ -447,10 +442,8 @@ def verify_certificate(
         normal = np.asarray(cert.hyperplane, dtype=np.float64)
         if not (cert.margin > 0.0 and normal.shape == x.shape and all_finite(normal)):
             return False  # also rejects a NaN margin
-        if len(others) == 0:
-            return True
         gaps = float(normal @ x) - others @ normal
-        band = gap_error_bound(len(x), _peak(normal), _peak(x), _peak(others))
+        band = gap_error_bound(len(x), peak(normal), peak(x), peak(others))
         claimed = min(cert.margin, np.finfo(np.float64).max) * (1.0 - eps)
         if np.any(gaps < claimed - band):
             return False

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from layersep import exact, separability
+from layersep import dyadic, exact, separability
 from layersep.errors import DomainError, EnumerationLimitError, LPStallError
 from layersep.exact import exact_point_vs_set
 from layersep.geometry import LayerSpec, PointCloud, sample_layer
@@ -152,7 +152,22 @@ def test_fisher_point_check_holds_no_cloud_sized_array():
 def test_peak_equals_the_largest_magnitude(values):
     a = np.array(values, dtype=np.float64)
     want = np.float64(np.abs(a).max(initial=0.0))
-    assert np.float64(separability._peak(a)).tobytes() == want.tobytes()
+    assert np.float64(dyadic.peak(a)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [[], [[], []], [[-0.0], []], [[], [-0.0, 0.0]], [[1e-320], [-5e-324]],
+     [[-2e-310, 0.0], [1e-320]], [[-np.finfo(float).max], [1.0, 2.0]],
+     [[3.0], [-3.0]], [[0.5, -0.75], [[0.25, 0.0], [-1.5, 0.0]]],
+     [[0.25], [-0.0], [np.finfo(float).max, -1.0]]],
+)
+def test_peak_and_exponent_of_several_arrays(arrays):
+    # equal to the reduction over the concatenation, and its frexp exponent
+    arrays = [np.array(values, dtype=np.float64) for values in arrays]
+    want = np.abs(np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)])).max(initial=0.0)
+    assert np.float64(dyadic.peak(*arrays)).tobytes() == want.tobytes()
+    assert dyadic.scale_exponent(*arrays) == math.frexp(float(want))[1]
 
 
 def test_fisher_margins_match_brute_force_across_blocks():
@@ -846,13 +861,13 @@ def test_exact_oracle_proof_needs_exact_gaps():
 
 def test_exact_oracle_enumerates_only_what_the_proof_leaves(monkeypatch):
     calls = []
-    solve = exact._barycentric_if_inside
+    solve = exact.barycentric_if_inside
 
     def counted(target, columns):
         calls.append(len(columns))
         return solve(target, columns)
 
-    monkeypatch.setattr(exact, "_barycentric_if_inside", counted)
+    monkeypatch.setattr(exact, "barycentric_if_inside", counted)
     triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     # Fisher-separable: (X, X) = 2 > (X, Y) for every Y, so no subset is solved
     assert exact_point_vs_set(np.array([1.0, 1.0]), triangle).verdict == "separable"

@@ -206,3 +206,21 @@ def test_every_export_resolves():
         stale += [f"{name}.{export}" for export in getattr(module, "__all__", ())
                   if not hasattr(module, export)]
     assert not stale, f"exports that resolve to nothing: {stale}"
+
+
+EXPONENT_MODULE = "dyadic.py"  # home of scale_exponent and the integer scaling
+
+
+def test_frexp_only_in_dyadic():
+    # one exponent helper, dyadic.scale_exponent: a second spelling of "the power
+    # of two that brings max|coord| into [0.5, 1)" could treat -0.0, empty input
+    # or a temporary the size of the input differently
+    sources = sorted(path for path in PACKAGE.glob("*.py") if path.name != EXPONENT_MODULE)
+    assert sources, f"no sources under {PACKAGE}"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "frexp"
+    ]
+    assert not found, f"frexp outside {EXPONENT_MODULE}: {found}"
