@@ -32,7 +32,7 @@ from .bounds import BOUND_IDS, COUNT_BOUND_IDS, evaluate_bound
 from .dyadic import scale_exponent
 from .errors import (DomainError, EnumerationLimitError, LPStallError, all_finite,
                      check_int, check_real)
-from .experiments import ExperimentPlan, ExperimentRecord, run_experiment
+from .experiments import POOL_MIN_COORDS, ExperimentPlan, ExperimentRecord, run_experiment
 from .geometry import LayerSpec, PointCloud, sample_layer
 from .separability import (
     DEFAULT_TOL,
@@ -265,7 +265,7 @@ def parse_args(argv) -> argparse.Namespace:
                        help="comma subset of linear,fisher")
     p_exp.add_argument("--workers", type=int, default=1, help="threads for the whole run, "
                        "at most the usable cores, fed a bounded window of jobs; cells with "
-                       "n*d < 20000 run on the calling thread")
+                       f"n*d < {POOL_MIN_COORDS} run on the calling thread")
     p_exp.add_argument("--measure-timing", action="store_true",
                        help="report each cell's summed trial times (breaks byte-identical reruns)")
     p_exp.add_argument("--output", default="-", help="file path or - for stdout")

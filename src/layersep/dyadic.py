@@ -7,28 +7,29 @@ power of two, ``v = m * 2**(e - 53)`` with ``(m, e)`` as ``math.frexp`` gives
 them and m scaled by ``2**53``.  So one common factor ``2**s`` with
 ``s = max(53 - e)`` over the nonzero entries makes every entry an exact Python
 int, with no float rounding or overflow on the way, and the smallest of them is
-no wider than 53 bits.  Sums and products of the scaled entries are then exact,
-which is how the exact hull oracle and the certificate re-check decide signs
-with no tolerance.  Both decide "a hyperplane separates" with the one sign test
-here, ``gaps_positive_exactly``.  The oracle decides "X is in the hull" with
-the one membership test, ``barycentric_if_inside``: fraction-free Gaussian
-elimination (Bareiss 1968), whose step t replaces every entry below and to the
-right of the pivot ``a_tt`` by ``(a_tt a_ij - a_it a_tj) / p``, with p the
-previous pivot.  By Sylvester's determinant identity each result is a
-(t+1) x (t+1) minor of the row-permuted input, an integer, so every division is
-exact and the numbers stay as large as a determinant, not as a product of them.
-The last pivot is the determinant ``den`` of the k x k system, so by Cramer's
-rule ``num_j = den * lam_j`` are integers too, and a fraction-free back
-substitution finds them with exact divisions.  The consistency and sign tests
-are integer comparisons.
+no wider than 53 bits; the largest such e is their ``scale_exponent``.  Sums
+and products of the scaled entries are then exact, so the exact hull oracle and
+the certificate re-check decide "a hyperplane separates" with no tolerance, by
+the one sign test here, ``gaps_positive_exactly`` or its integer core.  The
+oracle decides "X is in the hull" with the one membership test,
+``barycentric_if_inside``: fraction-free Gaussian elimination (Bareiss 1968),
+whose step t replaces every entry below and to the right of the pivot ``a_tt``
+by ``(a_tt a_ij - a_it a_tj) / p``, with p the previous pivot.  By Sylvester's
+determinant identity each result is a (t+1) x (t+1) minor of the row-permuted
+input, an integer, so every division is exact and the numbers stay as large as
+a determinant, not as a product of them.  The last pivot is the determinant
+``den`` of the k x k system, so by Cramer's rule ``num_j = den * lam_j`` are
+integers too, and a fraction-free back substitution finds them with exact
+divisions.  The consistency and sign tests are integer comparisons.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul, sub
 
-__all__ = ["barycentric_if_inside", "gaps_positive_exactly", "peak", "scale_exponent",
-           "scaled_to_integers"]
+__all__ = ["barycentric_if_inside", "gaps_positive_exactly", "integer_gaps_positive", "peak",
+           "scale_exponent", "scaled_to_integers"]
 
 
 def peak(*arrays) -> float:
@@ -43,12 +44,15 @@ def scale_exponent(*arrays) -> int:
 
 
 def scaled_to_integers(rows):
-    """Finite float rows times one common power of two, as exact ints."""
+    """Finite float rows times one common power of two as exact ints, and their
+    ``scale_exponent``."""
     # v = m * 2**(e - 53) with frexp's m scaled to an integer below 2**53, so
     # v * 2**s is that integer shifted left by s + e - 53 >= 0
     parts = [[math.frexp(v) for v in row] for row in rows]
-    s = max((53 - e for row in parts for m, e in row if m), default=0)
-    return [[int(math.ldexp(m, 53)) << (s + e - 53) if m else 0 for m, e in row] for row in parts]
+    exponents = [e for row in parts for m, e in row if m]
+    s = 53 - min(exponents, default=53)
+    ints = [[int(math.ldexp(m, 53)) << (s + e - 53) if m else 0 for m, e in row] for row in parts]
+    return ints, max(exponents, default=0)
 
 
 def gaps_positive_exactly(normal, x, others) -> bool:
@@ -60,9 +64,14 @@ def gaps_positive_exactly(normal, x, others) -> bool:
     """
     if len(others) == 0:
         return True
-    (a,) = scaled_to_integers([normal])
-    xs, *ys = scaled_to_integers([x, *others])
-    return all(sum(ak * (xk - yk) for ak, xk, yk in zip(a, xs, y)) > 0 for y in ys)
+    (xs, *ys), _ = scaled_to_integers([x, *others])
+    return integer_gaps_positive(normal, xs, ys)
+
+
+def integer_gaps_positive(normal, x, others) -> bool:
+    """``gaps_positive_exactly`` on x and others already scaled to ints together."""
+    (a,), _ = scaled_to_integers([normal])
+    return all(sum(map(mul, a, map(sub, x, y))) > 0 for y in others)
 
 
 def barycentric_if_inside(target, columns):
@@ -102,7 +111,7 @@ def barycentric_if_inside(target, columns):
     den = previous
     nums = []  # num_j = den * lam_j, from the last row up
     for top in reversed(eliminated):
-        rhs = den * top[-1] - sum(a * num for a, num in zip(top[1:-1], reversed(nums)))
+        rhs = den * top[-1] - sum(map(mul, top[1:-1], reversed(nums)))
         nums.append(rhs // top[0])
     nums.reverse()
     if den < 0:  # a positive denominator keeps the signs of lam, and 0 / den at +0.0

@@ -9,10 +9,10 @@ to 1, then ``0 = (A, X - X) = sum(lam_j (A, X - Y_j)) > 0``.  Candidates come
 from floats: the Fisher normal A = X, then the normal after each of at most
 ``PERCEPTRON_STEPS`` perceptron steps ``A <- A + (X - Y*) / 2``, with Y* the
 point of largest ``(A, Y)``.  The search runs on a copy scaled by ``2**-e``,
-with e from :func:`layersep.dyadic.scale_exponent`, so no product overflows.  It
-only proposes: a candidate whose float gaps are not all > 0 is skipped, and
-one whose float gaps are counts only if every gap is positive in exact integer
-arithmetic (:func:`layersep.dyadic.gaps_positive_exactly`).  Rounding can cost
+with e the ``scale_exponent`` of X and M, so no product overflows.  It only
+proposes: a candidate whose float gaps are not all > 0 is skipped, and one
+whose float gaps are counts only if every gap is positive in exact integer
+arithmetic (:func:`layersep.dyadic.integer_gaps_positive`).  Rounding can cost
 a proof but never fake one.  A separable verdict carries no witness, so its
 certificate is the same whichever stage decides.
 
@@ -22,25 +22,27 @@ by solving its barycentric linear system exactly.  No proof exists for a point
 of the hull, so a ``not_separable`` certificate always comes from the first
 such subset, smallest size first and in lexicographic order.  The systems are
 solved on integers (:func:`layersep.dyadic.barycentric_if_inside`): one common
-power of two makes every coordinate of X and M an exact Python int.  Only the
-d coordinate equations are scaled, on both sides, so the solution is unchanged
-and the affine row ``sum(lam) = 1`` stays all ones.  Each coefficient is one
-correctly rounded int true division, ``num_j / den``.
+power of two makes every coordinate of X and M an exact Python int, in the one
+pass (:func:`layersep.dyadic.scaled_to_integers`) that also yields e and feeds
+the proof's sign tests.  Only the d coordinate equations are scaled, on both
+sides, so the solution is unchanged and the affine row ``sum(lam) = 1`` stays
+all ones.  Each coefficient is one correctly rounded int true division,
+``num_j / den``.
 
 The subset count grows combinatorially, so instances are guarded (guideline
 n <= 64, d <= 6; the hard cap is on the enumeration size).  This module is
-the ground truth for the LP path and shares only ``dyadic.peak`` with it,
-which here only picks the search's exponent: it can cost a proof, never fake one.
+the ground truth for the LP path and shares none of its arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 
-from .dyadic import barycentric_if_inside, gaps_positive_exactly, scale_exponent, scaled_to_integers
+from .dyadic import barycentric_if_inside, integer_gaps_positive, scaled_to_integers
 from .errors import EnumerationLimitError, check_int, check_point_set
 from .separability import PERCEPTRON_STEPS, SeparabilityCertificate
 
@@ -71,10 +73,10 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
             f"instance m={m}, d={d} is too large for the exact oracle"
         )
     x_list, others_list = x.tolist(), others.tolist()
-    normals = _candidate_normals(x_list, others_list, scale_exponent(x, others))
-    if any(gaps_positive_exactly(normal, x_list, others_list) for normal in normals):
+    (target, *points), exponent = scaled_to_integers([x_list, *others_list])
+    normals = _candidate_normals(x_list, others_list, exponent)
+    if any(integer_gaps_positive(normal, target, points) for normal in normals):
         return SeparabilityCertificate("separable", "exact_oracle", 0.0)
-    target, *points = scaled_to_integers([x_list, *others_list])
     for k in range(1, k_max + 1):
         for subset in combinations(range(m), k):
             solution = barycentric_if_inside(target, [points[j] for j in subset])
@@ -102,17 +104,14 @@ def _candidate_normals(x: list[float], others: list[list[float]], exponent: int)
     on every call and so hands it back and forth between threads that run the
     oracle side by side.  A point in R^0 has exponent 0 and no candidate.
     """
-    x = [math.ldexp(v, -exponent) for v in x]
-    others = [[math.ldexp(v, -exponent) for v in y] for y in others]
+    if exponent:  # 0 when max|coord| lies in [0.5, 1) or is 0: scaling would only copy
+        x = [math.ldexp(v, -exponent) for v in x]
+        others = [[math.ldexp(v, -exponent) for v in y] for y in others]
     normal = x
     for _ in range(PERCEPTRON_STEPS):
-        products = [_dot(normal, y) for y in others]
-        top = _dot(normal, x)
-        if all(top - product > 0.0 for product in products):
+        products = [sum(map(mul, normal, y)) for y in others]
+        highest = max(products)
+        if sum(map(mul, normal, x)) > highest:  # every top - product > 0, the floats being finite
             yield normal
-        far = others[products.index(max(products))]
+        far = others[products.index(highest)]
         normal = [a + 0.5 * (xk - yk) for a, xk, yk in zip(normal, x, far)]
-
-
-def _dot(a: list[float], b: list[float]) -> float:
-    return sum(ak * bk for ak, bk in zip(a, b))

@@ -140,15 +140,14 @@ class _Simplex:
         self.xb = self.binv @ self.b
         self.etas = 0
 
-    def pivot(self, r: int, q: int, column: np.ndarray) -> None:
-        """Column q enters at row r; ``column`` is ``binv @ A[:, q]``."""
-        theta = max(self.xb[r], 0.0) / column[r]
+    def pivot(self, r: int, q: int, column: np.ndarray, theta: float) -> None:
+        """Column q enters at row r with value ``theta``; ``column`` is
+        ``binv @ A[:, q]``, and its entry r is zeroed here to serve as the eta."""
         self.xb -= theta * column
         self.xb[r] = theta
         self.binv[r] /= column[r]
-        eta = column.copy()
-        eta[r] = 0.0
-        self.binv -= np.outer(eta, self.binv[r])
+        column[r] = 0.0
+        self.binv -= column[:, None] * self.binv[r]
         self.basis[r] = q
         self.pivots += 1
         self.etas += 1
@@ -160,10 +159,11 @@ class _Simplex:
         Dantzig's, or Bland's after more than m pivots in a row without
         progress (see the module docstring)."""
         m = len(self.basis)
-        best = float(costs[self.basis] @ self.xb)
+        basic_costs = costs[self.basis]  # kept equal to costs[self.basis] by each pivot
+        best = float(basic_costs @ self.xb)
         stalled = 0
         while True:
-            duals = costs[self.basis] @ self.binv
+            duals = basic_costs @ self.binv
             reduced = costs - duals @ self.A
             if stalled > m:
                 candidates = np.flatnonzero(reduced < -PIVOT_TOL)
@@ -184,15 +184,16 @@ class _Simplex:
             if not ratios:
                 raise LPStallError("unbounded direction in a bounded program")
             theta = min(ratios)[0]
-            near = [i for ratio, i in ratios if ratio <= theta + 1e-12 * (1.0 + theta)]
+            near = {i: ratio for ratio, i in ratios if ratio <= theta + 1e-12 * (1.0 + theta)}
             r = min(near, key=basis.__getitem__)  # Bland: lowest basis index
-            self.pivot(r, q, column)
+            self.pivot(r, q, column, near[r])
+            basic_costs[r] = costs[q]
             if self.pivots > self.max_pivots:
                 raise LPStallError(
                     f"simplex exceeded its pivot cap ({self.max_pivots}); "
                     "treating as a diagnostic, not a verdict"
                 )
-            objective = float(costs[self.basis] @ self.xb)
+            objective = float(basic_costs @ self.xb)
             if objective < best - PIVOT_TOL * (1.0 + abs(best)):
                 best, stalled = objective, 0
             else:

@@ -319,8 +319,9 @@ def lp_point_vs_set(
     # parallel columns do not swamp the simplex in rounding error
     A = np.zeros((d + 1, k + 2 * d))
     np.subtract(others.T, x[:, None], out=A[:d, :k])
-    np.fill_diagonal(A[:d, k : k + d], 1.0)
-    np.fill_diagonal(A[:d, k + d :], -1.0)
+    step = k + 2 * d + 1  # flat distance from A[i, j] to A[i + 1, j + 1]
+    A.flat[k : k + d * step : step] = 1.0
+    A.flat[k + d : k + d + d * step : step] = -1.0
     A[d, :k] = 1.0
     b = np.zeros(d + 1)
     b[d] = 1.0
@@ -340,7 +341,7 @@ def lp_point_vs_set(
         normal_peak = peak(normal)
         if normal_peak > 1.0:  # rounding can poke the box constraint by ~1e-15
             normal /= normal_peak
-        achieved = float(np.min((x - others) @ normal))
+        achieved = float(((x - others) @ normal).min())
         if not achieved > 0.0:
             raise LPStallError(
                 f"optimal L1 distance {margin_star:.3e} exceeds the tolerance, but the "
@@ -368,13 +369,14 @@ def _perceptron_certificate(
     for _ in range(PERCEPTRON_STEPS):
         normal = np.array(a)
         products = points @ normal
-        top = products[i]
+        top = products[i].item()
         products[i] = -np.inf
         j = int(products.argmax())
-        gap = float(top - products[j])
-        a_peak = max(map(abs, a))
-        if gap > gap_error_bound(len(x), a_peak, x_peak, points_peak) + tol_eff * a_peak:
-            return SeparabilityCertificate("separable", "perceptron", gap, hyperplane=normal)
+        gap = top - products[j].item()
+        if gap > 0.0:  # the bound is positive, so no other gap can pass
+            a_peak = max(map(abs, a))
+            if gap > gap_error_bound(len(x), a_peak, x_peak, points_peak) + tol_eff * a_peak:
+                return SeparabilityCertificate("separable", "perceptron", gap, hyperplane=normal)
         a = [ak + 0.5 * (xk - yk) for ak, xk, yk in zip(a, x, points[j].tolist())]
     return None
 

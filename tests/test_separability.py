@@ -838,6 +838,76 @@ def test_exact_oracle_certificates_pinned():
     assert digest.hexdigest() == PINNED_ORACLE_DIGEST
 
 
+def test_exact_oracle_answer_does_not_depend_on_its_search(monkeypatch):
+    # a separable verdict carries no witness and a not_separable one comes from
+    # the enumeration, so an oracle whose float search proposes nothing must
+    # give every certificate the real one gives; the search may then change
+    # freely (150 criterion-2 queries keep the enumeration-only run under 1 s)
+    instances = [*criterion_2_shaped_queries(count=150),
+                 *((np.asarray(x, dtype=np.float64), np.asarray(others, dtype=np.float64))
+                   for x, others, _ in exact_oracle_instances())]
+    real = [exact_point_vs_set(x, others) for x, others in instances]
+    monkeypatch.setattr(exact, "_candidate_normals", lambda *args: iter(()))
+    for (x, others), want in zip(instances, real):
+        cert = exact_point_vs_set(x, others)
+        assert (cert.verdict, cert.method, cert.margin) == (want.verdict, want.method, want.margin)
+        if want.coefficients is None:
+            assert cert.coefficients is None
+        else:
+            assert cert.coefficients.tobytes() == want.coefficients.tobytes()
+    assert {cert.verdict for cert in real} == {"separable", "not_separable"}
+
+
+def one_exponent_instances():
+    """(x, others): random, all-zero, tied, subnormal and huge points, and rows whose
+    magnitudes span more than 2**970."""
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        d, k = int(rng.integers(1, 5)), int(rng.integers(0, 6))
+        yield rng.standard_normal(d), rng.standard_normal((k, d))
+    yield np.zeros(3), np.zeros((4, 3))
+    yield np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.25, 0.75]])  # Fisher gaps exactly 0
+    yield np.full(2, 2.0**-1074), np.array([[0.0, 2.0**-1074], [-(2.0**-1074), 0.0]])
+    yield np.array([2.0**1000, -(2.0**1000)]), np.array([[2.0**999, 0.0], [-(2.0**1000), 2.0**1000]])
+    for _ in range(30):
+        d, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        exponents = rng.integers(-1074, 1000, size=(k + 1, d))
+        exponents[0, 0], exponents[-1, -1] = -1074, 1000  # a span of 2**2074
+        rows = np.ldexp(rng.choice((-1.0, 1.0), size=(k + 1, d)), exponents)
+        yield rows[0], rows[1:]
+
+
+def test_oracle_exponent_and_integer_sign_test_match_dyadic(monkeypatch):
+    # the oracle takes its search exponent from its one integer pass, and tests
+    # candidates with the integer core of the sign test: both must equal the
+    # float-facing helpers the rest of the package calls, and the sign test
+    # must equal the rational one
+    seen = []
+    search = exact._candidate_normals
+
+    def recorded(x, others, exponent):
+        seen.append(exponent)
+        return search(x, others, exponent)
+
+    monkeypatch.setattr(exact, "_candidate_normals", recorded)
+    rng = np.random.default_rng(67)
+    outcomes = set()
+    for x, others in one_exponent_instances():
+        seen.clear()
+        if len(others):
+            exact_point_vs_set(x, others)
+            assert seen == [dyadic.scale_exponent(x, others)], (x, others)
+        (xs, *ys), exponent = dyadic.scaled_to_integers([x.tolist(), *others.tolist()])
+        assert exponent == dyadic.scale_exponent(x, others)
+        for normal in (x, rng.standard_normal(len(x)), x - others[:1].sum(axis=0)):
+            normal = normal.tolist()
+            want = oracles.exact_hyperplane_separates(x, others, normal)
+            assert dyadic.gaps_positive_exactly(normal, x.tolist(), others.tolist()) == want
+            assert dyadic.integer_gaps_positive(normal, xs, ys) == want, (normal, x, others)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def test_exact_oracle_proof_needs_exact_gaps():
     # X is the exact midpoint of (p, q) and (q, p), so it is in their hull and
     # no normal separates it, yet both float Fisher gaps (X, X - Y) round to a
