@@ -76,6 +76,17 @@ def test_start_basis_skips_phase_one():
     assert res.objective == 0.0
 
 
+@pytest.mark.parametrize("basis", [[0, 1, 2], np.array([0, 1, 2])])
+def test_solve_leaves_its_inputs_alone(basis):
+    # callers read A after the solve, and a caller's basis is theirs to reuse
+    c, A, b = (np.array(v, dtype=np.float64) for v in (BEALE_C, BEALE_A, BEALE_B))
+    inputs = [c.copy(), A.copy(), b.copy(), np.array(basis)]
+    res = solve_standard_form(c, A, b, max_pivots=100, basis=basis)
+    assert res.pivots > 0
+    for before, after in zip(inputs, (c, A, b, basis)):
+        assert np.array_equal(before, after)
+
+
 @pytest.mark.parametrize(
     "basis, message",
     [

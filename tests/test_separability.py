@@ -10,7 +10,7 @@ from layersep import dyadic, exact, separability
 from layersep.errors import DomainError, EnumerationLimitError, LPStallError
 from layersep.exact import exact_point_vs_set
 from layersep.geometry import LayerSpec, PointCloud, sample_layer
-from layersep.lp import SimplexResult, solve_standard_form
+from layersep.lp import REFACTOR_EVERY, SimplexResult, solve_standard_form
 from layersep.separability import (
     DEFAULT_TOL,
     FISHER_BLOCK,
@@ -1078,6 +1078,34 @@ def test_simplex_results_and_certificates_pinned(monkeypatch):
         for i, cert in sorted(report.lp_certificates.items()):
             digest.update(repr(i).encode() + certificate_bytes(cert) + b"\n")
     assert digest.hexdigest() == PINNED_SIMPLEX_DIGEST
+
+
+# sha256, in PINNED_SIMPLEX_DIGEST's format, of every solve and LP certificate
+# of the set checks in test_long_simplex_solves_pinned
+PINNED_LONG_SIMPLEX_DIGEST = "21a11c86475d9648a8887b666384ed0f48b67a8ff2e231b2fecf79bb502f69f1"
+
+
+def test_long_simplex_solves_pinned(monkeypatch):
+    # the simplex pin's solves stop short of REFACTOR_EVERY pivots; these reach
+    # 55, so their pivots and bits run through the periodic refactorization
+    digest = hashlib.sha256()
+    pivots = []
+
+    def recorded(c, A, b, max_pivots, basis):
+        result = solve_standard_form(c, A, b, max_pivots=max_pivots, basis=basis)
+        pivots.append(result.pivots)
+        digest.update(repr(result.pivots).encode() + result.x.tobytes()
+                      + result.duals.tobytes() + np.float64(result.objective).tobytes())
+        return result
+
+    monkeypatch.setattr(separability, "solve_standard_form", recorded)
+    for d in (13, 14):
+        for seed in (0, 1):
+            report = linearly_separable_set(sample_layer(LayerSpec(d, 0.5), 1000, seed))
+            for i, cert in sorted(report.lp_certificates.items()):
+                digest.update(repr(i).encode() + certificate_bytes(cert) + b"\n")
+    assert max(pivots) > REFACTOR_EVERY
+    assert digest.hexdigest() == PINNED_LONG_SIMPLEX_DIGEST
 
 
 def test_lp_nonseparating_normal_is_a_diagnostic(monkeypatch):
