@@ -93,17 +93,6 @@ def solve_standard_form(c, A, b, max_pivots: int, basis) -> SimplexResult:
     for name, values in (("c", c), ("A", A), ("b", b)):
         if not all_finite(values):  # NaN fails every feasibility and pricing test
             raise DomainError(f"{name} must have finite entries")
-    simplex = _start(A, b, basis, max_pivots)
-    duals = simplex.run(c)
-    x = np.zeros(n)
-    x[simplex.basis] = simplex.xb
-    np.maximum(x, 0.0, out=x)  # basic values can round to -1e-17
-    return SimplexResult(x, duals, float(c @ x), simplex.pivots)
-
-
-def _start(A, b, basis, max_pivots) -> _Simplex:
-    """The solve at a caller's start basis, checked as outside input."""
-    m, n = A.shape
     idx = np.asarray(basis)
     if idx.shape != (m,) or not np.issubdtype(idx.dtype, np.integer):
         raise DomainError(f"basis must hold {m} integer column indices, got {basis!r}")
@@ -112,89 +101,73 @@ def _start(A, b, basis, max_pivots) -> _Simplex:
         raise DomainError(f"basis indices must lie in [0, {n}), got {basis!r}")
     if len(set(ids)) != m:
         raise DomainError(f"basis indices must be distinct, got {basis!r}")
+    basis = np.array(ids, dtype=np.intp)
+    columns = A[:, basis]
     try:
-        simplex = _Simplex(A, b, idx, max_pivots)
+        binv = np.linalg.inv(columns)
     except np.linalg.LinAlgError:
         raise DomainError("basis matrix A[:, basis] is singular") from None
-    condition = np.abs(A[:, idx]).sum(axis=0).max() * np.abs(simplex.binv).sum(axis=0).max()
+    xb = binv @ b
+    condition = np.abs(columns).sum(axis=0).max() * np.abs(binv).sum(axis=0).max()
     if not condition < 1.0 / np.finfo(np.float64).eps:  # also rejects inf and NaN
         raise DomainError("basis matrix A[:, basis] is singular")
-    if any(v < -FEASIBILITY_TOL for v in simplex.xb.tolist()):
+    if any(v < -FEASIBILITY_TOL for v in xb.tolist()):
         raise DomainError("basis is not feasible: A[:, basis]^-1 b has a negative entry")
-    return simplex
 
-
-class _Simplex:
-    """Basis, basis inverse and basic values of one revised-simplex solve."""
-
-    def __init__(self, A, b, basis, max_pivots):
-        self.A = A
-        self.b = b
-        self.basis = np.array(basis, dtype=np.intp)
-        self.max_pivots = max_pivots
-        self.pivots = 0
-        self.refactor()
-
-    def refactor(self) -> None:
-        self.binv = np.linalg.inv(self.A[:, self.basis])
-        self.xb = self.binv @ self.b
-        self.etas = 0
-
-    def pivot(self, r: int, q: int, column: np.ndarray, theta: float) -> None:
-        """Column q enters at row r with value ``theta``; ``column`` is
-        ``binv @ A[:, q]``, and its entry r is zeroed here to serve as the eta."""
-        self.xb -= theta * column
-        self.xb[r] = theta
-        self.binv[r] /= column[r]
+    # pivot until no column prices out: Dantzig's pricing, or Bland's after
+    # more than m pivots in a row without progress (see the module docstring)
+    basic_costs = c[basis]  # kept equal to c[basis] by each pivot
+    best = float(basic_costs @ xb)
+    pivots = etas = stalled = 0
+    while True:
+        duals = basic_costs @ binv
+        reduced = c - duals @ A
+        if stalled > m:
+            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+            q = int(candidates[0]) if candidates.size else -1
+        else:
+            q = int(reduced.argmin())
+            if reduced[q] >= -PIVOT_TOL:
+                q = -1
+        if q < 0:
+            if etas == 0:
+                break
+            binv = np.linalg.inv(A[:, basis])  # confirm optimality on a fresh inverse
+            xb, etas = binv @ b, 0
+            continue
+        column = binv @ A[:, q]
+        values, ids = xb.tolist(), basis.tolist()
+        ratios = [(max(values[i], 0.0) / v, i)
+                  for i, v in enumerate(column.tolist()) if v > PIVOT_TOL]
+        if not ratios:
+            raise LPStallError("unbounded direction in a bounded program")
+        theta = min(ratios)[0]
+        near = {i: ratio for ratio, i in ratios if ratio <= theta + 1e-12 * (1.0 + theta)}
+        r = min(near, key=ids.__getitem__)  # Bland: lowest basis index
+        # column q enters at row r; column's entry r is zeroed to serve as the eta
+        xb -= near[r] * column
+        xb[r] = near[r]
+        binv[r] /= column[r]
         column[r] = 0.0
-        self.binv -= column[:, None] * self.binv[r]
-        self.basis[r] = q
-        self.pivots += 1
-        self.etas += 1
-        if self.etas >= REFACTOR_EVERY:
-            self.refactor()
-
-    def run(self, costs: np.ndarray) -> np.ndarray:
-        """Pivot until no column prices out; return the duals.  Pricing is
-        Dantzig's, or Bland's after more than m pivots in a row without
-        progress (see the module docstring)."""
-        m = len(self.basis)
-        basic_costs = costs[self.basis]  # kept equal to costs[self.basis] by each pivot
-        best = float(basic_costs @ self.xb)
-        stalled = 0
-        while True:
-            duals = basic_costs @ self.binv
-            reduced = costs - duals @ self.A
-            if stalled > m:
-                candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-                q = int(candidates[0]) if candidates.size else -1
-            else:
-                q = int(reduced.argmin())
-                if reduced[q] >= -PIVOT_TOL:
-                    q = -1
-            if q < 0:
-                if self.etas == 0:
-                    return duals
-                self.refactor()  # confirm optimality on a fresh inverse
-                continue
-            column = self.binv @ self.A[:, q]
-            xb, basis = self.xb.tolist(), self.basis.tolist()
-            ratios = [(max(xb[i], 0.0) / v, i)
-                      for i, v in enumerate(column.tolist()) if v > PIVOT_TOL]
-            if not ratios:
-                raise LPStallError("unbounded direction in a bounded program")
-            theta = min(ratios)[0]
-            near = {i: ratio for ratio, i in ratios if ratio <= theta + 1e-12 * (1.0 + theta)}
-            r = min(near, key=basis.__getitem__)  # Bland: lowest basis index
-            self.pivot(r, q, column, near[r])
-            basic_costs[r] = costs[q]
-            if self.pivots > self.max_pivots:
-                raise LPStallError(
-                    f"simplex exceeded its pivot cap ({self.max_pivots}); "
-                    "treating as a diagnostic, not a verdict"
-                )
-            objective = float(basic_costs @ self.xb)
-            if objective < best - PIVOT_TOL * (1.0 + abs(best)):
-                best, stalled = objective, 0
-            else:
-                stalled += 1
+        binv -= column[:, None] * binv[r]
+        basis[r] = q
+        basic_costs[r] = c[q]
+        pivots += 1
+        etas += 1
+        if etas >= REFACTOR_EVERY:  # before the objective below reads xb
+            binv = np.linalg.inv(A[:, basis])
+            xb, etas = binv @ b, 0
+        if pivots > max_pivots:
+            raise LPStallError(
+                f"simplex exceeded its pivot cap ({max_pivots}); "
+                "treating as a diagnostic, not a verdict"
+            )
+        objective = float(basic_costs @ xb)
+        if objective < best - PIVOT_TOL * (1.0 + abs(best)):
+            best, stalled = objective, 0
+        else:
+            stalled += 1
+    x = np.zeros(n)
+    x[basis] = xb
+    np.maximum(x, 0.0, out=x)  # basic values can round to -1e-17
+    return SimplexResult(x, duals, float(c @ x), pivots)

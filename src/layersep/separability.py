@@ -68,10 +68,8 @@ DEFAULT_TOL = 1e-9
 # perceptron matvecs per point the Fisher test leaves open, before the simplex
 PERCEPTRON_STEPS = 20
 
-# simplex pivot budget for a check against k points in dimension d: the cloud
-# has n = k + 1 points, cap = 50 * (n + d)
-def _pivot_cap(k: int, d: int) -> int:
-    return 50 * (k + 1 + d)
+# relative slack a separable certificate's re-checked gaps get below its margin
+RECHECK_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -333,7 +331,8 @@ def lp_point_vs_set(
     j = int((others @ x).argmax())
     crash = [j] + [k + i if xi >= yi else k + d + i
                    for i, (xi, yi) in enumerate(zip(x.tolist(), others[j].tolist()))]
-    result = solve_standard_form(c, A, b, max_pivots=_pivot_cap(k, d), basis=crash)
+    # pivot budget: the cloud has n = k + 1 points, cap = 50 * (n + d)
+    result = solve_standard_form(c, A, b, max_pivots=50 * (k + 1 + d), basis=crash)
 
     margin_star = result.objective
     if margin_star > tol_eff:
@@ -423,30 +422,28 @@ def verify_certificate(
     x: np.ndarray,
     others: np.ndarray,
     tol: float = DEFAULT_TOL,
-    eps: float = 1e-9,
 ) -> bool:
     """Re-check a certificate by direct arithmetic.
 
     Separable with hyperplane A: margin > 0, (A, x) - (A, y) > 0 exactly for
-    every y, and (A, x) - (A, y) >= margin * (1 - eps) for every y up to the
-    rounding-error bound of the computed gaps (``gap_error_bound``).  A gap
+    every y, and (A, x) - (A, y) >= margin * (1 - RECHECK_EPS) for every y up
+    to the rounding-error bound of the computed gaps (``gap_error_bound``).  A gap
     within that bound of 0 is decided in exact integer arithmetic.  Not
     separable with coefficients: they are nonnegative, sum to 1 within
     tolerance, and reconstruct x within 10 * tol.  Verdicts without a witness
     (vacuous separations, exhaustive oracle proofs, Fisher failures) verify
-    trivially.  x, others, ``tol`` > 0 and ``eps`` in [0, 1) are validated
-    (DomainError); a witness of the wrong shape or a non-finite normal fails.
+    trivially.  x, others and ``tol`` > 0 are validated (DomainError); a
+    witness of the wrong shape or a non-finite normal fails.
     """
     x, others = check_point_set(x, others)
     tol = check_real(tol, "tol", 0.0, np.inf)
-    eps = check_real(eps, "eps", 0.0, 1.0, low_closed=True)
     if cert.separable and cert.hyperplane is not None:
         normal = np.asarray(cert.hyperplane, dtype=np.float64)
         if not (cert.margin > 0.0 and normal.shape == x.shape and all_finite(normal)):
             return False  # also rejects a NaN margin
         gaps = float(normal @ x) - others @ normal
         band = gap_error_bound(len(x), peak(normal), peak(x), peak(others))
-        claimed = min(cert.margin, np.finfo(np.float64).max) * (1.0 - eps)
+        claimed = min(cert.margin, np.finfo(np.float64).max) * (1.0 - RECHECK_EPS)
         if np.any(gaps < claimed - band):
             return False
         close = others[~(gaps > band)]  # also takes the NaN of overflowed products

@@ -1139,13 +1139,6 @@ OVERCLAIM = SeparabilityCertificate("separable", "lp", 5.0, hyperplane=np.array(
 OVERCLAIM_X, OVERCLAIM_OTHERS = np.array([1.0, 0.0]), np.zeros((1, 2))
 
 
-@pytest.mark.parametrize("eps", [math.nan, 2.0, 1.0, -0.5])
-def test_recheck_rejects_eps_outside_unit_interval(eps):
-    assert not verify_certificate(OVERCLAIM, OVERCLAIM_X, OVERCLAIM_OTHERS)
-    with pytest.raises(DomainError):
-        verify_certificate(OVERCLAIM, OVERCLAIM_X, OVERCLAIM_OTHERS, eps=eps)
-
-
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, "x"])
 def test_recheck_rejects_bad_tolerance(tol):
     with pytest.raises(DomainError):
@@ -1170,6 +1163,7 @@ def test_recheck_rejects_malformed_normals(normal):
         assert not verify_certificate(cert, OVERCLAIM_X, others)
     cert = SeparabilityCertificate("separable", "lp", 0.5, hyperplane=np.array([1.0, 0.0]))
     assert verify_certificate(cert, OVERCLAIM_X, OVERCLAIM_OTHERS)
+    assert not verify_certificate(OVERCLAIM, OVERCLAIM_X, OVERCLAIM_OTHERS)
 
 
 @pytest.mark.parametrize("coefficients", [1.0, [[1.0]], [0.5, 0.5]])
