@@ -153,14 +153,14 @@ def _ldexp_or_inf(x: float, i: int) -> float:
 
 
 def _over_power_of_two(count: int, d: int) -> float:
-    """count / 2^d for an integer count >= 0, rounded once; inf past float range.
-
-    A count past float range keeps its top 1023 bits plus a sticky bit for the
-    rest, which rounds to the same float as the whole count would.
-    """
-    shift = max(count.bit_length() - 1023, 0)
-    top = (count >> shift) | (count & ((1 << shift) - 1) != 0)
-    return _ldexp_or_inf(float(top), shift - d)
+    """count / 2^d for an integer count >= 0, rounded once: int / int is correctly
+    rounded, subnormal quotients included.  0.0 far below float range, inf past it."""
+    if d - count.bit_length() > 1076:  # below half the least subnormal: no 1 << d
+        return 0.0
+    try:
+        return count / (1 << d)
+    except OverflowError:
+        return math.inf
 
 
 def _linear_lb(bound_id: str, count: int, d: int) -> BoundResult:

@@ -409,12 +409,14 @@ def _run_check(ns) -> None:
                             margin=cert.margin))
         return
     cloud = PointCloud(layer=LayerSpec(d=pts.shape[1], r=0.0), points=pts, seed=0)
+    # one report, one Gram pass: its flags give the Fisher verdict (SetReport)
+    report = (linearly_separable_set(cloud, tol=ns.tol, verdict_only=True)
+              if "linear" in ns.kind else fisher_separable_set(cloud, verdict_only=True))
     if "fisher" in ns.kind:
-        report = fisher_separable_set(cloud, verdict_only=True)
-        out.write(_line(kind="fisher", all_separable=str(report.all_separable).lower(),
-                        first_failure=report.first_failure))
+        fisher_ok = bool(report.flags.all())
+        out.write(_line(kind="fisher", all_separable=str(fisher_ok).lower(),
+                        first_failure=None if fisher_ok else int(report.flags.argmin())))
     if "linear" in ns.kind:
-        report = linearly_separable_set(cloud, tol=ns.tol, verdict_only=True)
         out.write(_line(kind="linear", all_separable=str(report.all_separable).lower(),
                         first_failure=report.first_failure, lp_calls=report.lp_calls,
                         lp_skipped_by_fisher=report.lp_skipped_by_fisher))

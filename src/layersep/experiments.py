@@ -178,13 +178,12 @@ def _point_trial(plan, layer, trial_idx):
 
 def _set_trial(plan, layer, trial_idx):
     cloud = sample_layer(layer, plan.n, _trial_seed(plan, layer.d, layer.r, trial_idx))
-    if "linear" not in plan.check_kinds:
-        return False, fisher_separable_set(cloud, verdict_only=True).all_separable, 0, 0
-    report = linearly_separable_set(cloud, tol=plan.tol, verdict_only=True)
-    # one Gram pass serves both kinds: the pre-screen settles every point
-    # exactly when the cloud is Fisher 1-convex
-    fisher_ok = "fisher" in plan.check_kinds and report.lp_calls == 0
-    return report.all_separable, fisher_ok, report.lp_calls, report.lp_skipped_by_fisher
+    linear = "linear" in plan.check_kinds
+    report = (linearly_separable_set(cloud, tol=plan.tol, verdict_only=True) if linear
+              else fisher_separable_set(cloud, verdict_only=True))
+    # one Gram pass serves both kinds: the flags give the Fisher verdict (SetReport)
+    fisher_ok = "fisher" in plan.check_kinds and bool(report.flags.all())
+    return linear and report.all_separable, fisher_ok, report.lp_calls, report.lp_skipped_by_fisher
 
 
 def _frequency(plan: ExperimentPlan, kind: str, hits: int) -> tuple[float, float, float]:

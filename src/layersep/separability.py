@@ -110,13 +110,14 @@ class SetReport:
     ``flags`` holds whether each inspected point in order passed the Fisher
     test, and ``margins`` (computed when read) its Fisher margin, > 0 exactly
     where the flag is set.  ``lp_certificates`` holds the certificate of each
-    point handed past the Fisher screen, by index, whether the perceptron
-    stage or the simplex decided it.  In verdict-only
-    mode the inspected points, and so ``per_point``, stop at the first failure.
+    point handed past the Fisher screen, by index, whether the perceptron stage
+    or the simplex decided it.  In verdict-only mode the inspected points, and
+    so ``per_point``, stop at the first failure.  A linear failure fails the
+    screen first, so the flags of either report give the Fisher verdict.
     ``lp_skipped_by_fisher`` counts the points the screen settled.  The other
-    two counters are read off the certificates: ``lp_calls``, the points
-    handed past the screen (with ``lp_skipped_by_fisher``, the number of
-    linear checks), and ``simplex_runs``, those of them the perceptron did not
+    two counters are read off the certificates: ``lp_calls``, the points handed
+    past the screen (with ``lp_skipped_by_fisher``, the number of linear
+    checks), and ``simplex_runs``, those of them the perceptron did not
     certify, so the LP ran on them.
     """
 
@@ -278,12 +279,10 @@ def fisher_point_vs_set(x: np.ndarray, others: np.ndarray) -> SeparabilityCertif
 def fisher_separable_set(cloud: PointCloud, verdict_only: bool = False) -> SetReport:
     """Fisher 1-convexity: every point Fisher-separable from the others.
 
-    ``verdict_only`` permits early exit at the first failure; per_point is
-    then truncated.
+    ``verdict_only`` permits early exit at the first failure, truncating per_point.
     """
     flags = fisher_flags(cloud.points, stop_at_failure=verdict_only)
-    failures = np.flatnonzero(~flags)
-    first_failure = int(failures[0]) if failures.size else None
+    first_failure = None if flags.all() else int(flags.argmin())
     if verdict_only and first_failure is not None:
         flags = flags[: first_failure + 1]
     return SetReport(first_failure is None, first_failure, flags, cloud.points)

@@ -226,6 +226,8 @@ def test_fisher_gap_exact_below_float_resolution():
     assert rel_err(gap, want) < 1e-9
     assert abs(log_gap - float(mp.log(want))) < 1e-9
     assert fisher_gap_exact(4, 0.1, 10)[0] == 1.0  # crowded: bound is vacuous
+    # further out the bound rounds to 1 even in log form
+    assert fisher_gap_exact(10000, 0.9, 5) == (0.0, -math.inf)
 
 
 def test_fisher_gap_convergence():

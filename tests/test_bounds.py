@@ -3,11 +3,14 @@
 import dataclasses
 import hashlib
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layersep import bounds
 from layersep.asymptotics import CRITICAL_RADII
 from layersep.bounds import (
     BOUND_IDS,
@@ -78,6 +81,29 @@ def test_p_linear_pair_count_past_float_range(d):
     assert ("clamped" in res.note) == (d == 10)
 
 
+def exact_quotient(count, d):
+    try:
+        return float(Fraction(count, 2**d))  # rounded once, subnormals included
+    except OverflowError:
+        return math.inf
+
+
+def test_count_over_power_of_two_rounds_once():
+    # a subnormal count / 2^d rounded to 53 bits first and then to the subnormal
+    # grid can land on the farther neighbour; the linear bounds' helper must not
+    rng = random.Random(2020)
+    cases = []
+    for _ in range(2000):
+        bits = rng.randint(54, 100)
+        cases.append((rng.getrandbits(bits - 1) | 1 << (bits - 1),
+                      rng.choice((1060, 1074, 1080, 1100))))
+    cases += [(0, 1), (0, 1100), (0, 10**6), (1, 1074), (1, 1075), (3, 1076), (1, 10**6),
+              (2**1023, 0), (2**1024 - 1, 0), (2**1024, 0), (10**400, 10), (10**400, 1330)]
+    got = [bounds._over_power_of_two(count, d) for count, d in cases]
+    assert got == [exact_quotient(count, d) for count, d in cases]
+    assert 0.0 < min(v for v in got if v > 0.0) < 2.0**-1022  # subnormals were tried
+
+
 def test_p1_fisher_closed_forms():
     res = p1_fisher_lb(BoundQuery(d=2, r=0.5, n=1))
     assert rel_err(res.value, 15.0 / 32.0) < 1e-14
@@ -122,6 +148,10 @@ def test_p_fisher_negative_inner_factor_clamps():
     assert inside.value == 0.0
     assert inside.raw_value == 0.0625
     assert "clamped" in inside.note
+    # crowding exactly 1 at r = 0: the inner factor is 0, and so the raw power
+    edge = p_fisher_lb(BoundQuery(d=5, r=0.0, n=3))
+    assert (edge.value, edge.raw_value) == (0.0, 0.0)
+    assert "clamped" in edge.note
 
 
 def test_p1_fisher_log_survives_underflow():

@@ -1,11 +1,17 @@
 """CLI surface: grammar, exit codes, and bit-exact CSV emission."""
 
 import hashlib
+import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import layersep
+from layersep import separability
 from layersep.bounds import evaluate_bound
 from layersep.cli import (
     BOUND_CURVE_HEADER,
@@ -22,6 +28,7 @@ from layersep.cli import (
 )
 from layersep.errors import DomainError, LPStallError
 from layersep.experiments import ExperimentPlan, run_experiment
+from layersep.geometry import LayerSpec, sample_layer
 
 
 def experiment_argv(*extra):
@@ -93,6 +100,9 @@ def test_experiment_defaults():
         ["bounds", "--id", "p1_linear_lb", "--d", "3", "--r", "nan:1:0.1"],
         ["bounds", "--id", "p1_linear_lb", "--d", "3", "--r", "0:inf:0.5"],
         ["bounds", "--id", "p1_linear_lb", "--d", "3", "--r", "0:1:inf"],
+        ["bounds", "--id", "p1_linear_lb", "--d", "1,,2"],  # empty entry
+        ["bounds", "--id", "p1_linear_lb", "--d", "1:2"],  # two-part range
+        ["bounds", "--id", "p1_linear_lb", "--d", "a"],  # not an int
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -117,6 +127,17 @@ def test_lp_diagnostic_exit_4(tmp_path, capsys, monkeypatch):
     assert main(["check", "--input", str(source), "--mode", "point",
                  "--kind", "linear"]) == EXIT_LP
     assert "LP diagnostic" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_main(capsys):
+    argv = ["bounds", "--id", "p1_linear_lb", "--d", "3", "--n", "4"]
+    assert main(argv) == EXIT_OK
+    want = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(layersep.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "layersep", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert (done.returncode, done.stdout) == (EXIT_OK, want)
 
 
 def test_io_error_exit_1_names_the_file(tmp_path, capsys):
@@ -337,6 +358,87 @@ def test_check_set_mode_square_corners(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "kind=fisher all_separable=true" in out
     assert "kind=linear all_separable=true" in out
+
+
+CORNERS = "x1,x2\n0.9,0\n0,0.9\n-0.9,0\n0,-0.9\n"
+
+
+# a 10-d shell sample at 17 digits that fails both set checks: the first
+# Fisher failure is point 0, the first linear failure point 175
+SAMPLED = "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                  for row in sample_layer(LayerSpec(10, 0.5), 1000, 11).points)
+
+
+@pytest.mark.parametrize("kind", ["both", "fisher", "linear"])
+@pytest.mark.parametrize("text", [CORNERS, SAMPLED], ids=["corners", "sampled"])
+def test_check_set_mode_runs_one_gram_pass(tmp_path, capsys, monkeypatch, kind, text):
+    # a linear report's flags are its Fisher screen, so no kind needs a second pass
+    calls = []
+    real = separability.fisher_flags
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(separability, "fisher_flags", counted)
+    source = tmp_path / "points.csv"
+    source.write_text(text, encoding="utf-8")
+    assert main(["check", "--input", str(source), "--kind", kind]) == EXIT_OK
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, failures", [(CORNERS, ("", "")), (SAMPLED, ("0", "175"))],
+                         ids=["corners", "sampled"])
+def test_check_both_prints_the_fisher_then_the_linear_output(tmp_path, capsys, text, failures):
+    source = tmp_path / "points.csv"
+    source.write_text(text, encoding="utf-8")
+    outputs = {}
+    for kind in ("fisher", "linear", "both"):
+        assert main(["check", "--input", str(source), "--kind", kind]) == EXIT_OK
+        outputs[kind] = capsys.readouterr().out
+    assert outputs["both"] == outputs["fisher"] + outputs["linear"]
+    separable = str(not failures[0]).lower()
+    assert outputs["fisher"] == f"kind=fisher all_separable={separable} first_failure={failures[0]}\n"
+    assert outputs["linear"].startswith(
+        f"kind=linear all_separable={separable} first_failure={failures[1]} ")
+
+
+def test_check_prints_no_verdict_before_an_lp_stall(tmp_path, capsys, monkeypatch):
+    # the last point is interior, so the linear check reaches the LP, which
+    # stalls: the run exits 4 without the Fisher line it had already decided
+    def stall(*args, **kwargs):
+        raise LPStallError("simplex stalled")
+
+    monkeypatch.setattr(separability, "lp_point_vs_set", stall)
+    source = tmp_path / "pts.csv"
+    source.write_text("0.5,0\n0,0.5\n-0.5,0\n0,-0.5\n0.1,0.1\n", encoding="utf-8")
+    assert main(["check", "--input", str(source), "--kind", "both"]) == EXIT_LP
+    captured = capsys.readouterr()
+    assert captured.out == "" and "LP diagnostic" in captured.err
+
+
+def test_check_reads_stdin(tmp_path, capsys, monkeypatch):
+    source = tmp_path / "corners.csv"
+    source.write_text(CORNERS, encoding="utf-8")
+    assert main(["check", "--input", str(source)]) == EXIT_OK
+    want = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(CORNERS))
+    assert main(["check", "--input", "-"]) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("text, mode, message", [
+    ("", "set", "no data rows"),
+    ("x1,x2\n", "set", "only a header"),
+    ("0.5,0.5\n", "point", "at least 2 rows"),
+], ids=["empty", "header_only", "point_mode_one_row"])
+def test_check_rejects_too_few_rows(tmp_path, capsys, text, mode, message):
+    source = tmp_path / "points.csv"
+    source.write_text(text, encoding="utf-8")
+    assert main(["check", "--input", str(source), "--mode", mode]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_check_point_mode_interior_query(tmp_path, capsys):

@@ -218,6 +218,33 @@ def test_sample_layer_angular_uniformity_chi_square():
     assert chi2 < CHI2_CRIT_35DOF_P999
 
 
+def test_sample_layer_redraws_zero_directions(monkeypatch):
+    # a zero Gaussian row has no direction: it is drawn again, not divided by 0
+    real = np.random.default_rng
+    draws = []
+
+    class ZeroRowFirst:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def standard_normal(self, shape):
+            g = self.rng.standard_normal(shape)
+            if not draws:
+                g[1] = 0.0
+            draws.append(shape)
+            return g
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroRowFirst)
+    layer = LayerSpec(d=3, r=0.5)
+    cloud = sample_layer(layer, 5, seed=3)
+    assert draws == [(5, 3), (1, 3)]
+    norms = np.linalg.norm(cloud.points, axis=1)
+    assert norms.min() >= 0.5 - 1e-12 and norms.max() <= 1.0 + 1e-12
+
+
 def test_sample_layer_rejects_bad_n():
     with pytest.raises(DomainError):
         sample_layer(LayerSpec(2, 0.0), -1, seed=0)
@@ -231,6 +258,8 @@ def test_point_cloud_validates_norms():
         PointCloud(layer=layer, points=np.array([[0.1, 0.0, 0.0]]), seed=0)
     with pytest.raises(DomainError):
         PointCloud(layer=layer, points=np.zeros((2, 4)), seed=0)
+    with pytest.raises(DomainError):
+        PointCloud(layer=layer, points=np.zeros(3), seed=0)  # one point, not a set
 
 
 def test_point_cloud_is_immutable():

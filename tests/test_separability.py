@@ -729,6 +729,12 @@ def test_exact_oracle_agrees_with_lp_small_random():
         assert lp_cert.verdict == oracle_cert.verdict, f"disagreement at point {i}"
 
 
+def test_exact_oracle_empty_set_separable():
+    cert = exact_point_vs_set(np.array([0.5, 0.0]), np.zeros((0, 2)))
+    assert cert.verdict == "separable"
+    assert cert.method == "exact_oracle"
+
+
 def test_exact_oracle_duplicate_point():
     cloud = cloud_from([[0.5, 0.1], [0.5, 0.1]])
     assert exact_point_vs_set(*point_and_rest(cloud, 0)).verdict == "not_separable"
@@ -1164,6 +1170,15 @@ def test_recheck_rejects_malformed_normals(normal):
     cert = SeparabilityCertificate("separable", "lp", 0.5, hyperplane=np.array([1.0, 0.0]))
     assert verify_certificate(cert, OVERCLAIM_X, OVERCLAIM_OTHERS)
     assert not verify_certificate(OVERCLAIM, OVERCLAIM_X, OVERCLAIM_OTHERS)
+
+
+def test_recheck_rejects_coefficients_that_do_not_sum_to_one():
+    # nonnegative and the right shape, and they rebuild x = 0, but sum to 1.2
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    cert = SeparabilityCertificate("not_separable", "lp", 0.0, coefficients=np.full(4, 0.3))
+    assert not verify_certificate(cert, np.zeros(2), square)
+    cert = SeparabilityCertificate("not_separable", "lp", 0.0, coefficients=np.full(4, 0.25))
+    assert verify_certificate(cert, np.zeros(2), square)
 
 
 @pytest.mark.parametrize("coefficients", [1.0, [[1.0]], [0.5, 0.5]])
