@@ -400,13 +400,14 @@ def _run_check(ns) -> None:
         if pts.shape[0] < 2:
             raise DomainError("point mode needs at least 2 rows (last row is the query)")
         query, others = pts[-1], pts[:-1]
-        if "fisher" in ns.kind:
-            cert = fisher_point_vs_set(query, others)
-            out.write(_line(kind="fisher", separable=str(cert.separable).lower()))
-        if "linear" in ns.kind:
-            cert = lp_point_vs_set(query, others, tol=ns.tol)
-            out.write(_line(kind="linear", separable=str(cert.separable).lower(),
-                            margin=cert.margin))
+        # both certificates before either line, so an LP stall prints no verdict
+        fisher = fisher_point_vs_set(query, others) if "fisher" in ns.kind else None
+        linear = lp_point_vs_set(query, others, tol=ns.tol) if "linear" in ns.kind else None
+        if fisher is not None:
+            out.write(_line(kind="fisher", separable=str(fisher.separable).lower()))
+        if linear is not None:
+            out.write(_line(kind="linear", separable=str(linear.separable).lower(),
+                            margin=linear.margin))
         return
     cloud = PointCloud(layer=LayerSpec(d=pts.shape[1], r=0.0), points=pts, seed=0)
     # one report, one Gram pass: its flags give the Fisher verdict (SetReport)

@@ -1,8 +1,10 @@
 """Revised primal simplex for small standard-form linear programs.
 
-Solves ``min c @ x  s.t.  A @ x = b, x >= 0``.  Built for the hull-membership
-programs in :mod:`layersep.separability`: few rows (dimension + 1), possibly
-many columns (cloud size), well-scaled coefficients.
+Solves ``min c @ x  s.t.  A @ x = b, x >= 0`` for the hull-membership programs
+of :mod:`layersep.separability`: few rows (dimension + 1), possibly many
+columns (cloud size), well-scaled coefficients.  Their one builder also
+supplies a feasible start basis, so there is no phase 1, and neither the
+program nor that basis is checked.
 
 The solver keeps an explicit inverse of the (m x m) basis matrix, updates it
 by one rank-1 eta step per pivot and refactors it from ``A[:, basis]`` every
@@ -14,16 +16,13 @@ progress (degenerate ones, and ones that rounding leaves flat) pricing takes
 Bland's lowest index until progress resumes.  The best objective can fall
 only finitely often, so a cycle would have to run under Bland's rule, which
 cannot cycle.  The leaving row is always the lowest basis index among
-ratio-test ties.
-
-The solve starts from a feasible basis that the caller supplies; there is no
-phase 1.  A pivot cap turns numerical pathology into a loud
+ratio-test ties.  A pivot cap turns numerical pathology into a loud
 :class:`LPStallError` instead of a wrong answer.
 
-Steps over the n columns run in NumPy.  The ratio test and the start checks, over
-m entries, run on Python floats: there NumPy's per-call cost and the GIL it may
-hand to another thread at each call outweigh the arithmetic.  They do the same
-float operations in the same order, so every pivot and result is bit-identical.
+Steps over the n columns run in NumPy.  The ratio test, over m entries, runs
+on Python floats: there NumPy's per-call cost and the GIL it may hand to
+another thread at each call outweigh the arithmetic.  It does the same float
+operations in the same order, so every pivot and result is bit-identical.
 """
 
 from __future__ import annotations
@@ -32,16 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LPStallError, all_finite
+from .errors import LPStallError
 
 # reduced costs / pivot elements below this count as zero
 PIVOT_TOL = 1e-11
-# a negative start-basis value above -FEASIBILITY_TOL counts as feasible
-FEASIBILITY_TOL = 1e-9
 # eta updates between two refactorizations of the basis inverse
 REFACTOR_EVERY = 32
 
-__all__ = ["SimplexResult", "solve_standard_form", "PIVOT_TOL", "FEASIBILITY_TOL"]
+__all__ = ["SimplexResult", "solve_standard_form", "PIVOT_TOL"]
 
 
 @dataclass(frozen=True)
@@ -64,55 +61,28 @@ class SimplexResult:
 def solve_standard_form(c, A, b, max_pivots: int, basis) -> SimplexResult:
     """Revised simplex from a caller's feasible basis.
 
+    The caller vouches for every condition below; none is checked, and a
+    program that breaks one gives NumPy's error, LPStallError or a wrong answer.
+
     Args:
-        c: costs, shape (n,).
-        A: equality-constraint matrix, shape (m, n).
-        b: right-hand side, shape (m,).
+        c: finite costs, shape (n,).
+        A: finite equality-constraint matrix, shape (m, n).
+        b: finite right-hand side, shape (m,).
         max_pivots: hard cap on total pivots; exceeding it raises LPStallError.
         basis: m distinct column indices whose matrix ``A[:, basis]`` is
-            nonsingular with ``A[:, basis]^-1 b >= -FEASIBILITY_TOL``.
+            nonsingular with ``A[:, basis]^-1 b >= 0``.
 
     Raises:
-        DomainError: ``A`` is not 2-d, ``c`` or ``b`` does not match its
-            shape, an entry of ``c``, ``A`` or ``b`` is NaN or infinite, or
-            ``basis`` is malformed, singular or infeasible.
         LPStallError: pivot cap exceeded, or an unbounded ray shows up (which
             for a correctly posed bounded program means numerical failure).
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    if A.ndim != 2:
-        raise DomainError(f"A must be a 2-d matrix, got shape {A.shape}")
     m, n = A.shape
-    if c.shape != (n,) or b.shape != (m,):
-        raise DomainError(
-            f"c must have shape ({n},) and b shape ({m},) for A of shape {A.shape}, "
-            f"got {c.shape} and {b.shape}"
-        )
-    for name, values in (("c", c), ("A", A), ("b", b)):
-        if not all_finite(values):  # NaN fails every feasibility and pricing test
-            raise DomainError(f"{name} must have finite entries")
-    idx = np.asarray(basis)
-    if idx.shape != (m,) or not np.issubdtype(idx.dtype, np.integer):
-        raise DomainError(f"basis must hold {m} integer column indices, got {basis!r}")
-    ids = idx.tolist()
-    if min(ids, default=0) < 0 or max(ids, default=0) >= n:
-        raise DomainError(f"basis indices must lie in [0, {n}), got {basis!r}")
-    if len(set(ids)) != m:
-        raise DomainError(f"basis indices must be distinct, got {basis!r}")
-    basis = np.array(ids, dtype=np.intp)
-    columns = A[:, basis]
-    try:
-        binv = np.linalg.inv(columns)
-    except np.linalg.LinAlgError:
-        raise DomainError("basis matrix A[:, basis] is singular") from None
+    basis = np.array(basis, dtype=np.intp)  # a copy: the pivots below write to it
+    binv = np.linalg.inv(A[:, basis])
     xb = binv @ b
-    condition = np.abs(columns).sum(axis=0).max() * np.abs(binv).sum(axis=0).max()
-    if not condition < 1.0 / np.finfo(np.float64).eps:  # also rejects inf and NaN
-        raise DomainError("basis matrix A[:, basis] is singular")
-    if any(v < -FEASIBILITY_TOL for v in xb.tolist()):
-        raise DomainError("basis is not feasible: A[:, basis]^-1 b has a negative entry")
 
     # pivot until no column prices out: Dantzig's pricing, or Bland's after
     # more than m pivots in a row without progress (see the module docstring)

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import gaps_positive_exactly, peak, scale_exponent
-from .errors import LPStallError, all_finite, check_point_set, check_real
+from .errors import DomainError, LPStallError, all_finite, check_point_set, check_real
 from .geometry import PointCloud
 from .lp import solve_standard_form
 
@@ -298,8 +298,9 @@ def lp_point_vs_set(
     """Linear-separate an arbitrary point from an arbitrary finite set.
 
     Runs the L1 polytope-distance program described in the module docstring.
-    Raises LPStallError if the simplex stalls, or if the normal it yields does
-    not strictly separate (diagnostic, not a verdict).
+    Raises DomainError for input check_point_set rejects or an ``x - others``
+    beyond float64, and LPStallError if the simplex stalls or the normal it
+    yields does not strictly separate (diagnostic, not a verdict).
     """
     x, others = check_point_set(x, others)
     tol = check_real(tol, "tol", 0.0, np.inf)
@@ -315,7 +316,11 @@ def lp_point_vs_set(
     # of x enter as differences at full relative precision and their nearly
     # parallel columns do not swamp the simplex in rounding error
     A = np.zeros((d + 1, k + 2 * d))
-    np.subtract(others.T, x[:, None], out=A[:d, :k])
+    try:  # the only way finite input can make the program non-finite
+        with np.errstate(over="raise"):
+            np.subtract(others.T, x[:, None], out=A[:d, :k])
+    except FloatingPointError:
+        raise DomainError("x - others overflows float64") from None
     step = k + 2 * d + 1  # flat distance from A[i, j] to A[i + 1, j + 1]
     A.flat[k : k + d * step : step] = 1.0
     A.flat[k + d : k + d + d * step : step] = -1.0

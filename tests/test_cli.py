@@ -404,16 +404,20 @@ def test_check_both_prints_the_fisher_then_the_linear_output(tmp_path, capsys, t
         f"kind=linear all_separable={separable} first_failure={failures[1]} ")
 
 
-def test_check_prints_no_verdict_before_an_lp_stall(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("mode, lp_name", [
+    ("point", "layersep.cli.lp_point_vs_set"),
+    ("set", "layersep.separability.lp_point_vs_set"),
+], ids=["point", "set"])
+def test_check_prints_no_verdict_before_an_lp_stall(tmp_path, capsys, monkeypatch, mode, lp_name):
     # the last point is interior, so the linear check reaches the LP, which
     # stalls: the run exits 4 without the Fisher line it had already decided
     def stall(*args, **kwargs):
         raise LPStallError("simplex stalled")
 
-    monkeypatch.setattr(separability, "lp_point_vs_set", stall)
+    monkeypatch.setattr(lp_name, stall)
     source = tmp_path / "pts.csv"
     source.write_text("0.5,0\n0,0.5\n-0.5,0\n0,-0.5\n0.1,0.1\n", encoding="utf-8")
-    assert main(["check", "--input", str(source), "--kind", "both"]) == EXIT_LP
+    assert main(["check", "--input", str(source), "--mode", mode, "--kind", "both"]) == EXIT_LP
     captured = capsys.readouterr()
     assert captured.out == "" and "LP diagnostic" in captured.err
 

@@ -559,6 +559,30 @@ def test_lp_margin_matches_l1_distance_on_square():
     assert np.abs(cert.hyperplane).max() <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("e", [27, 60, 500])
+def test_lp_decides_the_triangle_at_large_scales(e):
+    # the crash basis has determinant +-1 at any scale, but its condition
+    # estimate (1 + |x - y_j|_1)^2 passes 1/eps from about 2**26 on, where a
+    # condition test once rejected it as singular
+    scale = 2.0**e
+    triangle = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]) * scale
+    cert = lp_point_vs_set(triangle[0], triangle[1:])
+    assert cert.verdict == exact_point_vs_set(triangle[0], triangle[1:]).verdict == "separable"
+    assert cert.margin == 1.5 * scale
+    assert verify_certificate(cert, triangle[0], triangle[1:])
+    inside = np.array([0.125, 0.25]) * scale
+    assert (lp_point_vs_set(inside, triangle).verdict
+            == exact_point_vs_set(inside, triangle).verdict == "not_separable")
+
+
+def test_lp_rejects_differences_beyond_float64():
+    # finite input whose hull program is not: x - y overflows to inf
+    x = np.array([1e308, 0.0])
+    others = np.array([[-1e308, 0.0], [0.0, 1e308]])
+    with pytest.raises(DomainError, match="overflows float64"):
+        lp_point_vs_set(x, others)
+
+
 def test_lp_tol_validation():
     cloud = cloud_from([[0.5, 0.0], [1.0, 0.0]])
     with pytest.raises(DomainError):

@@ -92,6 +92,26 @@ def test_exact_oracle_shares_no_code_with_the_lp():
     assert not found, f"exact.py imports from the LP: {found}"
 
 
+def test_the_simplex_validates_no_input():
+    # the hull program's one builder, separability.lp_point_vs_set, vouches for
+    # it; checks of outside input stay at the public entry points, so the
+    # solver needs no DomainError, and a check that comes back re-proves what
+    # its caller built
+    path = PACKAGE / "lp.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            from_errors = (node.module or "").split(".")[-1] == "errors"
+            found += [alias.name for alias in node.names if alias.name == "errors"
+                      or (from_errors and alias.name != "LPStallError")]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[-1] == "errors"]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            if getattr(node, "id", getattr(node, "attr", None)) == "DomainError":
+                found.append(f"DomainError at line {node.lineno}")
+    assert not found, f"lp.py validates input: {found}"
+
+
 def test_no_module_imports_private_names():
     # a leading underscore marks a name its module may change at will; a
     # sibling that imports one couples itself to that module's internals
