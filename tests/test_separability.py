@@ -1138,6 +1138,28 @@ def test_long_simplex_solves_pinned(monkeypatch):
     assert digest.hexdigest() == PINNED_LONG_SIMPLEX_DIGEST
 
 
+# sha256 of the verdict (or "stall") of each simplex_pin_instances program, and
+# of (index, verdict, method) of each LP certificate of the set checks in both
+# simplex pins: a change that re-takes those two digests must leave this one
+PINNED_VERDICT_DIGEST = "3f955d3ddd99df0ad364f0270314466507d4550ca7aa6961cffa18b156d8b933"
+
+
+def test_simplex_pin_verdicts_pinned():
+    digest = hashlib.sha256()
+    for x, others in simplex_pin_instances():
+        try:
+            verdict = lp_point_vs_set(x, others).verdict
+        except LPStallError:
+            verdict = "stall"
+        digest.update(verdict.encode() + b"\n")
+    for d, r, seeds in ((10, 0.9, (16, 17)), (13, 0.5, (0, 1)), (14, 0.5, (0, 1))):
+        for seed in seeds:
+            report = linearly_separable_set(sample_layer(LayerSpec(d, r), 1000, seed))
+            for i, cert in sorted(report.lp_certificates.items()):
+                digest.update(repr((i, cert.verdict, cert.method)).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_VERDICT_DIGEST
+
+
 def test_lp_nonseparating_normal_is_a_diagnostic(monkeypatch):
     # an optimal distance above tol whose dual normal separates nothing must
     # raise, not become a separable verdict
