@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dyadic import times_two_to
 from .errors import DomainError, check_int, check_real
 
 __all__ = [
@@ -143,13 +144,6 @@ def _count_result(bound_id: str, raw: float, status: str, log_raw: float) -> Bou
 def _fisher_status(r: float) -> str:
     """The Fisher bounds are stated for 0 < r < 1; at r = 0 they still evaluate."""
     return STATUS_OK if r > 0.0 else STATUS_OUTSIDE
-
-
-def _ldexp_or_inf(x: float, i: int) -> float:
-    try:
-        return math.ldexp(x, i)
-    except OverflowError:
-        return math.inf
 
 
 def _over_power_of_two(count: int, d: int) -> float:
@@ -283,13 +277,13 @@ def _n_fisher(q: BoundQuery) -> BoundResult:
 def _n1_linear(q: BoundQuery) -> BoundResult:
     """Count threshold n < theta * 2^d; holds for every 0 <= r < 1."""
     log_raw = math.log(q.theta) + q.d * math.log(2.0)
-    return _count_result("n1_linear", _ldexp_or_inf(q.theta, q.d), STATUS_OK, log_raw)
+    return _count_result("n1_linear", times_two_to(q.d, q.theta), STATUS_OK, log_raw)
 
 
 def _n_linear(q: BoundQuery) -> BoundResult:
     """Count threshold n < sqrt(theta * 2^d); holds for every 0 <= r < 1."""
     log_raw = 0.5 * (math.log(q.theta) + q.d * math.log(2.0))
-    scaled = _ldexp_or_inf(q.theta, q.d)
+    scaled = times_two_to(q.d, q.theta)
     raw = math.sqrt(scaled) if math.isfinite(scaled) else exp_or_inf(log_raw)
     return _count_result("n_linear", raw, STATUS_OK, log_raw)
 

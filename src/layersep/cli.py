@@ -29,9 +29,8 @@ import numpy as np
 
 from . import asymptotics as asymptotics_mod
 from .bounds import BOUND_IDS, COUNT_BOUND_IDS, evaluate_bound
-from .dyadic import scale_exponent
-from .errors import (DomainError, EnumerationLimitError, LPStallError, all_finite,
-                     check_int, check_real)
+from .dyadic import peak, scale_exponent
+from .errors import DomainError, EnumerationLimitError, LPStallError, check_int, check_real
 from .experiments import POOL_MIN_COORDS, ExperimentPlan, ExperimentRecord, run_experiment
 from .geometry import LayerSpec, PointCloud, sample_layer
 from .separability import (
@@ -380,17 +379,11 @@ def _read_point_matrix(source) -> np.ndarray:
 
 def _run_check(ns) -> None:
     pts = _read_point_matrix(ns.input)
-    if not all_finite(pts):
+    if not math.isfinite(peak(pts)):
         raise DomainError("input points must be finite")
-    # Both checks are invariant under uniform positive scaling, so data that
-    # overflows the unit ball is shrunk to fit rather than rejected.  The norms
-    # are taken with the largest coordinate scaled into [0.5, 1) by a power of
-    # two, exact in the normal range, so that no square overflows.  Data whose
-    # largest square would be subnormal takes that scaling first, so that the
-    # checks' products do not underflow.
+    # the checks decide the input times a power of two; data beyond the unit ball is
+    # shrunk to fit, its norms taken with max|coord| in [0.5, 1) so no square overflows
     exponent = scale_exponent(pts)
-    if 2 * exponent < -1021:
-        pts, exponent = np.ldexp(pts, -exponent), 0
     scaled = np.ldexp(pts, -exponent)
     max_norm = float(np.linalg.norm(scaled, axis=1).max())  # times 2**exponent
     if exponent > 1 or math.ldexp(max_norm, exponent) > 1.0:  # a coordinate >= 2: norm > 1

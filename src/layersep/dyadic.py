@@ -1,7 +1,7 @@
 """Floats as exact integers: every finite float is a dyadic rational.
 
-Scaling by a power of two is exact.  ``scale_exponent``, the one exponent
-helper, gives the e for which ``2**-e`` brings ``peak``, the largest magnitude,
+Scaling by a power of two is exact.  ``scale_exponent`` (``split_peak`` of a
+peak), the one exponent helper, gives the e for which ``2**-e`` brings ``peak``
 into [0.5, 1).  Every finite float is an integer of at most 53 bits times a
 power of two, ``v = m * 2**(e - 53)`` with ``(m, e)`` as ``math.frexp`` gives
 them and m scaled by ``2**53``.  So one common factor ``2**s`` with
@@ -29,18 +29,34 @@ import math
 from operator import mul, sub
 
 __all__ = ["barycentric_if_inside", "gaps_positive_exactly", "integer_gaps_positive", "peak",
-           "scale_exponent", "scaled_to_integers"]
+           "scale_exponent", "scaled_to_integers", "split_peak", "times_two_to"]
 
 
 def peak(*arrays) -> float:
-    """Largest |entry| of finite arrays, 0.0 for none: two reductions each, no temporary."""
+    """Largest |entry| of finite arrays, 0.0 for none: two reductions each, no temporary.
+    The peak of one array with a NaN or infinite entry is NaN or inf."""
     return max((max(float(a.max(initial=0.0)), -float(a.min(initial=0.0))) for a in arrays),
                default=0.0) + 0.0  # no -0.0
 
 
+def split_peak(top: float) -> tuple[float, int]:
+    """A peak as ``(top * 2**-e, e)``, the first in [0.5, 1), or (0.0, 0) for 0."""
+    return math.frexp(top)
+
+
 def scale_exponent(*arrays) -> int:
     """The e that puts ``peak(*arrays) * 2**-e`` in [0.5, 1), or 0 for no nonzero entry."""
-    return math.frexp(peak(*arrays))[1]
+    return split_peak(peak(*arrays))[1]
+
+
+def times_two_to(e: int, value: float) -> float:
+    """``value * 2**e`` rounded once, +-inf beyond float range, and the least
+    positive float for a positive value that underflows to 0: its sign survives."""
+    try:
+        scaled = math.ldexp(value, e)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+    return math.ulp(0.0) if scaled == 0.0 and value > 0.0 else scaled
 
 
 def scaled_to_integers(rows):

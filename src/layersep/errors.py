@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from .dyadic import peak, split_peak
+
 
 class DomainError(ValueError):
     """A parameter lies outside the mathematical domain of the operation."""
@@ -60,18 +62,13 @@ def check_real(value, name: str, low: float, high: float, low_closed: bool = Fal
     return number + 0.0
 
 
-def all_finite(a: np.ndarray) -> bool:
-    """Is every entry of the float array ``a`` finite (True if it is empty)?  max
-    and min propagate NaN and reach +-inf, so no mask the size of ``a`` is built."""
-    return math.isfinite(a.max(initial=0.0)) and math.isfinite(a.min(initial=0.0))
+def check_point_set(x, others) -> tuple[np.ndarray, np.ndarray, tuple[float, int]]:
+    """``x`` and ``others`` as float64 arrays, a point and a finite set of points
+    in its dimension, and ``split_peak(peak(x, others))``, read off the
+    reductions of the finiteness test.
 
-
-def check_point_set(x, others) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` and ``others`` as float64 arrays: a point and a finite set of points
-    in its dimension, so x is 1-d and others is 2-d with ``len(x)`` columns.
-
-    Anything else, values that are not numbers, and NaN or infinite
-    coordinates raise DomainError.
+    Anything else (x not 1-d, others not 2-d with ``len(x)`` columns), values
+    that are not numbers, and NaN or infinite coordinates raise DomainError.
     """
     try:
         x = np.asarray(x, dtype=np.float64)
@@ -83,6 +80,7 @@ def check_point_set(x, others) -> tuple[np.ndarray, np.ndarray]:
             "need a point of shape (d,) and a set of shape (k, d), "
             f"got {x.shape} and {others.shape}"
         )
-    if not (all_finite(x) and all_finite(others)):
+    x_peak, others_peak = peak(x), peak(others)  # NaN or inf for a non-finite entry
+    if not (math.isfinite(x_peak) and math.isfinite(others_peak)):
         raise DomainError("a point and a set of points need finite coordinates")
-    return x, others
+    return x, others, split_peak(max(x_peak, others_peak))

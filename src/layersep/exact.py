@@ -60,7 +60,7 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
     finite set of shape (k, d) and ``max_subsets`` an integer >= 1, and
     EnumerationLimitError when the subsets to enumerate exceed ``max_subsets``.
     """
-    x, others = check_point_set(x, others)
+    x, others, _ = check_point_set(x, others)
     max_subsets = check_int(max_subsets, "max_subsets", 1)
     m, d = others.shape
     if m == 0:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, all_finite, check_int, check_real
+from .dyadic import peak
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "LayerSpec",
@@ -99,7 +100,7 @@ class PointCloud:
             raise DomainError(
                 f"points have dimension {pts.shape[1]}, layer has d={self.layer.d}"
             )
-        if not all_finite(pts):
+        if not math.isfinite(peak(pts)):
             raise DomainError("points must be finite")
         _check_in_shell(_row_norms(pts), self.layer)
         pts = pts.copy()
@@ -181,7 +182,7 @@ def sample_layer(layer: LayerSpec, n: int, seed: int) -> PointCloud:
     scale = _radii(rng.random(n), layer)
     scale /= norms
     # |g_ij| <= norms_i, so a row's coordinates are finite exactly when its scale is
-    if not all_finite(scale):
+    if not math.isfinite(peak(scale)):
         raise DomainError("sampled points must be finite")
     g *= scale[:, None]
     _check_in_shell(_row_norms(g), layer)

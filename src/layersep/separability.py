@@ -6,30 +6,33 @@ Two notions of separability for a point X against a finite set M:
   normal X witnesses it.  Cheapest check, and it implies linear separability.
 * Linear: ``X not in conv(M)``.  Decided by the bounded-normal margin program
   ``max m  s.t. (A, X - Y) >= m for all Y,  |A|_inf <= 1``; the point is
-  separable iff the optimal margin exceeds ``tol``.  The implementation runs
-  the revised simplex on the exact dual of that program — minimize
-  ``|X - sum(lambda_j Y_j)|_1`` over the probability simplex — which has the
-  same optimal value and (dimension + 1) rows however large M is.  The solve
-  starts from a crash basis that is feasible by construction.  The dual values
-  give the optimal normal A, the basis gives the convex coefficients; so one
-  solve produces the witness for either verdict.
+  separable iff the optimal margin exceeds ``tol`` times max|coordinate|.  The
+  revised simplex runs on the exact dual of that program — minimize
+  ``|X - sum(lambda_j Y_j)|_1`` over the probability simplex — which has
+  (dimension + 1) rows however large M is, from a crash basis that is feasible
+  by construction.  The dual values give the optimal normal A, the basis the
+  convex coefficients; so one solve produces the witness for either verdict.
+
+Neither notion changes under positive scaling, and scaling by a power of two is
+exact, so both point checks and ``fisher_flags`` decide X and M times
+``2**-e``, with e their ``dyadic.scale_exponent``: no product over- or
+underflows, and the simplex's absolute tolerances see the same floats at any
+scale.  Margins come back times ``2**2e`` (Fisher) or ``2**e`` (LP) by
+``dyadic.times_two_to``, which keeps a positive margin > 0.
 
 Set-level checks ask whether every point is separable from the others
 (1-convexity).  Both use only the sign of each Fisher margin, from one float32
-blockwise Gram kernel, ``fisher_flags``, run on the cloud scaled by
-``2**-dyadic.scale_exponent``; its rounding band sends close calls to the point
-check's float64 product, so every sign is that check's verdict.  Margin values
-are computed only when read, and equal its margins bit for bit.  The linear set
-check is a cascade (Gorban et al. 2018): a point that fails the Fisher test
-gets at most ``PERCEPTRON_STEPS`` perceptron steps from its Fisher normal X,
-and only a point the perceptron does not certify goes to the simplex.  Novikoff
-(1962) bounds the steps a perceptron needs by (R / gamma)^2, so well-separated
-points are settled by a few matvecs.  The matvec over all n points runs in
-NumPy, the d-sized update on Python floats, with the same operations in the
-same order (see :mod:`layersep.lp`).  A perceptron normal is accepted only when
-its computed margin exceeds the LP's tolerance by more than the rounding-error
-bound of the products (``gap_error_bound``), so it certifies only points whose
-LP margin exceeds that tolerance: points the LP calls separable.
+blockwise Gram kernel, ``fisher_flags``; its rounding band sends close calls to
+the point check's float64 product, so every sign is that check's verdict.
+Margin values are computed only when read, and equal its margins bit for bit.
+The linear set check is a cascade (Gorban et al. 2018): a point that fails the
+Fisher test gets at most ``PERCEPTRON_STEPS`` perceptron steps from its Fisher
+normal X, and only a point the perceptron does not certify goes to the simplex.
+Novikoff (1962) bounds the steps a perceptron needs by (R / gamma)^2, so
+well-separated points are settled by a few matvecs.  A perceptron normal is
+accepted only when its computed margin exceeds the LP's tolerance by more than
+the rounding-error bound of the products (``gap_error_bound``), so it certifies
+only points the LP calls separable.
 
 A separable certificate is re-checked with the same bound: a computed gap
 (A, X) - (A, Y) beyond the bound has the sign of the exact one, and a gap
@@ -45,8 +48,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import gaps_positive_exactly, peak, scale_exponent
-from .errors import DomainError, LPStallError, all_finite, check_point_set, check_real
+from .dyadic import gaps_positive_exactly, peak, scale_exponent, times_two_to
+from .errors import LPStallError, check_point_set, check_real
 from .geometry import PointCloud
 from .lp import solve_standard_form
 
@@ -142,12 +145,8 @@ class SetReport:
 
     @cached_property
     def per_point(self) -> tuple[SeparabilityCertificate, ...]:
-        return tuple(
-            self.lp_certificates[i]
-            if i in self.lp_certificates
-            else _fisher_certificate(self.points[i], margin)
-            for i, margin in enumerate(self.margins.tolist())
-        )
+        return tuple(self.lp_certificates.get(i) or _fisher_certificate(self.points[i], margin)
+                     for i, margin in enumerate(self.margins.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +166,11 @@ def gap_error_bound(d: int, a_peak, x_peak, y_peak):
     """
     # any summation order gives |fl(a.y) - (a,y)| <= d u sum|a_k y_k| <= d^2 u
     # max|a| max|y|: the bound covers two such errors and underflow
-    band = 4.0 * d * d * 2.0**-53 * a_peak * (x_peak + y_peak)
-    band += d * 2.0**-1072
-    return band
+    return 4.0 * d * d * 2.0**-53 * a_peak * (x_peak + y_peak) + d * 2.0**-1072
+
+
+def _scaled(a: np.ndarray, e: int) -> np.ndarray:
+    return np.ldexp(a, -e) if e else a
 
 
 def _fisher_certificate(x: np.ndarray, margin: float) -> SeparabilityCertificate:
@@ -192,16 +193,14 @@ def _point_margin(x: np.ndarray, others: np.ndarray, skip: int | None = None) ->
     return float(self_dot - products.max(initial=-np.inf))
 
 
-def _sign_band(d: int, norms: np.ndarray, exponent: int) -> np.ndarray:
-    """Per row of a cloud scaled by ``2**-exponent`` to coordinates below 1, with
-    row norms ``norms``: a float32 Gram margin beyond the band has the sign of
-    ``_point_margin`` on the unscaled row.  +inf (the float64 fallback) where
-    the bound fails: d + 2 >= 2**24, a norm negative or not finite, or unscaled
-    float64 products that may overflow."""
+def _sign_band(d: int, norms: np.ndarray) -> np.ndarray:
+    """Per row of a cloud scaled to coordinates below 1, with row norms
+    ``norms``: a float32 Gram margin beyond the band has the sign of
+    ``_point_margin`` on the row.  +inf (the float64 fallback) where the bound
+    fails: d + 2 >= 2**24, or a norm negative or not finite."""
     norm_peak = float(np.max(norms, initial=0.0))
     k = d + 2
-    if not (k * 2.0**-24 < 1.0 and math.isfinite(norm_peak) and np.min(norms, initial=0.0) >= 0.0
-            and 2 * exponent + d.bit_length() <= 1020):
+    if not (k * 2.0**-24 < 1.0 and math.isfinite(norm_peak) and np.min(norms, initial=0.0) >= 0.0):
         return np.full(np.shape(norms), np.inf)
     # Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1: with
     # operands rounded to float32 and any summation order, FMA included,
@@ -210,9 +209,8 @@ def _sign_band(d: int, norms: np.ndarray, exponent: int) -> np.ndarray:
     # A margin holds two products; beyond both errors the two signs agree.
     gamma32 = k * 2.0**-24 / (1.0 - k * 2.0**-24)
     gamma64 = d * 2.0**-53 / (1.0 - d * 2.0**-53)
-    # underflow: a cast or product errs by 2**-150 in float32, by 2**-1075 in
-    # unscaled float64 (the cap drops only a term that makes every band huge)
-    floor = d * 2.0**-146 + math.ldexp(d, min(-1073 - 2 * exponent, 900))
+    # underflow: a cast or product errs by 2**-150 in float32, by 2**-1075 in float64
+    floor = d * 2.0**-146 + d * 2.0**-1073
     # the last factor covers rounding in the float32 subtraction, the norms and here
     return ((2.0 * (gamma32 + gamma64) * norm_peak) * norms + floor) * (1.0 + 2.0**-20)
 
@@ -231,9 +229,8 @@ def fisher_flags(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarra
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, d = points.shape
     # scaled so that max|coord| lies in [0.5, 1): nothing overflows float32
-    exponent = scale_exponent(points)
-    scaled = np.ldexp(points, -exponent) if exponent else points
-    band = _sign_band(d, np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
+    scaled = _scaled(points, scale_exponent(points))
+    band = _sign_band(d, np.sqrt(np.einsum("ij,ij->i", scaled, scaled)))
     rows = scaled.astype(np.float32)
     columns = np.ascontiguousarray(rows.T)  # a faster GEMM operand than the view
     # the Gram matrix is symmetric: a block's rows meet only the columns from its
@@ -255,7 +252,7 @@ def fisher_flags(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarra
         block = flags[start:stop]
         np.greater(margins, 0.0, out=block)
         for i in np.flatnonzero(~(np.abs(margins) > band[start:stop])):
-            block[i] = _point_margin(points[start + i], points, start + i) > 0.0
+            block[i] = _point_margin(scaled[start + i], scaled, start + i) > 0.0
         if stop_at_failure and not block.all():
             return flags[:stop]
     return flags
@@ -265,15 +262,17 @@ def fisher_margins(points: np.ndarray, count: int | None = None) -> np.ndarray:
     """Float64 margin (X_i,X_i) - max_{j != i} (X_i,X_j) of each of the first
     ``count`` rows (default all), equal to ``fisher_point_vs_set``'s bit for bit."""
     points = np.ascontiguousarray(points, dtype=np.float64)
+    e = scale_exponent(points)
+    scaled = _scaled(points, e)
     rows = range(len(points) if count is None else count)
-    return np.array([_point_margin(points[i], points, i) for i in rows], dtype=float)
+    return np.array([times_two_to(2 * e, _point_margin(scaled[i], scaled, i)) for i in rows])
 
 
 def fisher_point_vs_set(x: np.ndarray, others: np.ndarray) -> SeparabilityCertificate:
     """Fisher-separate an arbitrary point from an arbitrary finite set."""
-    x, others = check_point_set(x, others)
-    x = np.ascontiguousarray(x)
-    return _fisher_certificate(x, _point_margin(x, np.ascontiguousarray(others)))
+    x, others, (_, e) = check_point_set(x, others)
+    margin = _point_margin(_scaled(x, e), np.ascontiguousarray(_scaled(others, e)))
+    return _fisher_certificate(x, times_two_to(2 * e, margin))
 
 
 def fisher_separable_set(cloud: PointCloud, verdict_only: bool = False) -> SetReport:
@@ -297,30 +296,27 @@ def lp_point_vs_set(
 ) -> SeparabilityCertificate:
     """Linear-separate an arbitrary point from an arbitrary finite set.
 
-    Runs the L1 polytope-distance program described in the module docstring.
-    Raises DomainError for input check_point_set rejects or an ``x - others``
-    beyond float64, and LPStallError if the simplex stalls or the normal it
-    yields does not strictly separate (diagnostic, not a verdict).
+    Runs the L1 polytope-distance program described in the module docstring,
+    on x and others times 2**-e.  Raises DomainError for input check_point_set
+    rejects, and LPStallError if the simplex stalls or the normal it yields
+    does not strictly separate (diagnostic, not a verdict).
     """
-    x, others = check_point_set(x, others)
+    x, others, (top, e) = check_point_set(x, others)
     tol = check_real(tol, "tol", 0.0, np.inf)
     k, d = others.shape
     if k == 0:
-        return SeparabilityCertificate(
-            "separable", "lp", float("inf"), hyperplane=x.copy()
-        )
-    tol_eff = tol * peak(x, others)  # relative to the largest coordinate
+        return SeparabilityCertificate("separable", "lp", math.inf, hyperplane=x.copy())
+    tol_eff = tol * top  # relative to the largest coordinate, times 2**-e
 
     # min sum(u) + sum(v)  s.t.  (others - x).T @ lam + u - v = 0,  sum(lam) = 1:
     # x - others.T @ lam written with sum(lam) = 1, so that points within ~1e-9
     # of x enter as differences at full relative precision and their nearly
     # parallel columns do not swamp the simplex in rounding error
     A = np.zeros((d + 1, k + 2 * d))
-    try:  # the only way finite input can make the program non-finite
-        with np.errstate(over="raise"):
-            np.subtract(others.T, x[:, None], out=A[:d, :k])
-    except FloatingPointError:
-        raise DomainError("x - others overflows float64") from None
+    x, diff = _scaled(x, e), A[:d, :k]
+    if e:  # the set is scaled in place, so that A is the one k x d array made
+        np.ldexp(others.T, -e, out=diff)
+    np.subtract(diff if e else others.T, x[:, None], out=diff)
     step = k + 2 * d + 1  # flat distance from A[i, j] to A[i + 1, j + 1]
     A.flat[k : k + d * step : step] = 1.0
     A.flat[k + d : k + d + d * step : step] = -1.0
@@ -329,12 +325,11 @@ def lp_point_vs_set(
     b[d] = 1.0
     c = np.zeros(k + 2 * d)
     c[k:] = 1.0
-    # crash basis: lam_j = 1 for the point with the largest Fisher product, and
+    # crash basis: lam_j = 1 for the point with the largest (x, y_j - x), and
     # u_i or v_i carries |x - y_j|_i by its sign.  B = [[y_j - x, diag(+-1)],
     # [1, 0]] has determinant +-1 and B^-1 b = (1, |x - y_j|) >= 0.
-    j = int((others @ x).argmax())
-    crash = [j] + [k + i if xi >= yi else k + d + i
-                   for i, (xi, yi) in enumerate(zip(x.tolist(), others[j].tolist()))]
+    j = int((x @ diff).argmax())
+    crash = [j] + [k + i if v <= 0.0 else k + d + i for i, v in enumerate(diff[:, j].tolist())]
     # pivot budget: the cloud has n = k + 1 points, cap = 50 * (n + d)
     result = solve_standard_form(c, A, b, max_pivots=50 * (k + 1 + d), basis=crash)
 
@@ -344,14 +339,15 @@ def lp_point_vs_set(
         normal_peak = peak(normal)
         if normal_peak > 1.0:  # rounding can poke the box constraint by ~1e-15
             normal /= normal_peak
-        achieved = float(((x - others) @ normal).min())
+        achieved = -float((normal @ diff).max())  # min over y of (A, x - y)
         if not achieved > 0.0:
             raise LPStallError(
                 f"optimal L1 distance {margin_star:.3e} exceeds the tolerance, but the "
                 f"dual normal's margin is {achieved:.3e}; treating as a diagnostic, not a verdict"
             )
-        return SeparabilityCertificate("separable", "lp", achieved, hyperplane=normal)
-    return SeparabilityCertificate("not_separable", "lp", float(margin_star),
+        return SeparabilityCertificate("separable", "lp", times_two_to(e, achieved),
+                                       hyperplane=normal)
+    return SeparabilityCertificate("not_separable", "lp", times_two_to(e, margin_star),
                                    coefficients=result.x[:k].copy())
 
 
@@ -439,11 +435,11 @@ def verify_certificate(
     trivially.  x, others and ``tol`` > 0 are validated (DomainError); a
     witness of the wrong shape or a non-finite normal fails.
     """
-    x, others = check_point_set(x, others)
+    x, others, _ = check_point_set(x, others)
     tol = check_real(tol, "tol", 0.0, np.inf)
     if cert.separable and cert.hyperplane is not None:
         normal = np.asarray(cert.hyperplane, dtype=np.float64)
-        if not (cert.margin > 0.0 and normal.shape == x.shape and all_finite(normal)):
+        if not (cert.margin > 0.0 and normal.shape == x.shape and math.isfinite(peak(normal))):
             return False  # also rejects a NaN margin
         gaps = float(normal @ x) - others @ normal
         band = gap_error_bound(len(x), peak(normal), peak(x), peak(others))

@@ -476,8 +476,9 @@ def test_check_output_independent_of_a_huge_scale(tmp_path, capsys, mode):
 @pytest.mark.parametrize("mode", ["set", "point"])
 @pytest.mark.parametrize("kind", ["fisher", "linear"])
 def test_check_verdicts_independent_of_a_tiny_scale(tmp_path, capsys, mode, kind):
-    # at 2**-600 every square underflows; the input is scaled up exactly first,
-    # so the verdict fields are the unit triangle's (the printed margin scales)
+    # at 2**-600 every square underflows; the checks decide the input times
+    # 2**-e, so the verdict fields are the unit triangle's (the printed margin
+    # scales), with no scale-up in the command itself
     def verdict(scale):
         source = tmp_path / "triangle.csv"
         rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]

@@ -59,24 +59,36 @@ def test_permutation_invariance(params, perm_seed):
     assert lp_base.separable == lp_perm.separable
 
 
-@given(params=clouds, k=st.integers(min_value=-2, max_value=2))
+def scaled_margin(margin, k):
+    """margin * 2**k, rounded once; a positive margin that underflows reads as
+    the least positive float, one beyond float64 as inf."""
+    try:
+        scaled = math.ldexp(margin, k)
+    except OverflowError:
+        return math.copysign(math.inf, margin)
+    return math.ulp(0.0) if scaled == 0.0 and margin > 0.0 else scaled
+
+
+@given(params=clouds, k=st.integers(min_value=-500, max_value=500))
 @settings(max_examples=100, deadline=None)
 def test_scaling_by_powers_of_two(params, k):
+    # both checks decide the input times 2**-e, so every verdict is the same at
+    # every scale, and the margins scale exactly
     cloud = draw_cloud(params)
     x, others = cloud.points[-1], cloud.points[:-1]
-    c = math.ldexp(1.0, k)
+    scaled_x, scaled_others = np.ldexp(x, k), np.ldexp(others, k)
+    assume(np.array_equal(np.ldexp(scaled_others, -k), others))  # no coordinate lost bits
+    assume(np.array_equal(np.ldexp(scaled_x, -k), x))
 
     base = fisher_point_vs_set(x, others)
-    scaled = fisher_point_vs_set(c * x, c * others)
+    scaled = fisher_point_vs_set(scaled_x, scaled_others)
     assert base.separable == scaled.separable
-    if math.isfinite(base.margin):
-        assert scaled.margin == c * c * base.margin  # exact float scaling
+    assert scaled.margin == scaled_margin(base.margin, 2 * k)
 
     lp_base = lp_point_vs_set(x, others)
-    lp_scaled = lp_point_vs_set(c * x, c * others)
-    assume(abs(lp_base.margin - DEFAULT_TOL) > 100 * DEFAULT_TOL)
-    assume(abs(lp_scaled.margin - DEFAULT_TOL) > 100 * DEFAULT_TOL)
+    lp_scaled = lp_point_vs_set(scaled_x, scaled_others)
     assert lp_base.separable == lp_scaled.separable
+    assert lp_scaled.margin == scaled_margin(lp_base.margin, k)
 
 
 @given(params=clouds)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from layersep import dyadic, exact, separability
-from layersep.errors import DomainError, EnumerationLimitError, LPStallError
+from layersep.errors import DomainError, EnumerationLimitError, LPStallError, check_point_set
 from layersep.exact import exact_point_vs_set
 from layersep.geometry import LayerSpec, PointCloud, sample_layer
 from layersep.lp import REFACTOR_EVERY, SimplexResult, solve_standard_form
@@ -168,6 +169,31 @@ def test_peak_and_exponent_of_several_arrays(arrays):
     want = np.abs(np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)])).max(initial=0.0)
     assert np.float64(dyadic.peak(*arrays)).tobytes() == want.tobytes()
     assert dyadic.scale_exponent(*arrays) == math.frexp(float(want))[1]
+
+
+@pytest.mark.parametrize("x, others", [
+    ([-0.0, 0.0], np.zeros((0, 2))), ([0.25, -3.0], [[1e-320, 2.0]]), ([1e-320], [[-5e-324]]),
+    ([0.5, 0.0], [[0.0, -np.finfo(float).max], [1.0, 1.0]]), ([-0.0], [[-0.0]]),
+])
+def test_point_set_check_returns_the_peak(x, others):
+    # check_point_set reads the peak off its finiteness reductions, so the
+    # checks take their exponent from it with no further pass
+    x, others, (top, e) = check_point_set(x, others)
+    want = dyadic.peak(x, others)
+    assert np.float64(math.ldexp(top, e)).tobytes() == np.float64(want).tobytes()
+    assert (top, e) == dyadic.split_peak(want) == math.frexp(want)
+    assert e == dyadic.scale_exponent(x, others)
+
+
+@pytest.mark.parametrize("value, e, want", [
+    (1.5, 3, 12.0), (-1.5, -3, -0.1875), (0.0, 5000, 0.0), (-0.0, 9, -0.0),
+    (0.25, -1074, math.ulp(0.0)), (2.0**-60, -1020, math.ulp(0.0)), (0.5, -1074, math.ulp(0.0)),
+    (0.75, -1074, math.ulp(0.0)), (3.0, -1075, 2 * math.ulp(0.0)), (-0.25, -1074, -0.0),
+    (1.0, 1023, 2.0**1023), (1.0, 1024, math.inf), (-0.5, 2000, -math.inf),
+])
+def test_times_two_to_rounds_once_and_keeps_a_positive_sign(value, e, want):
+    got = dyadic.times_two_to(e, value)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_fisher_margins_match_brute_force_across_blocks():
@@ -444,11 +470,11 @@ def assert_same_floats(got, want):
     assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
-def assert_reports_equal_point_checks(cloud, linear=True):
+def assert_reports_equal_point_checks(cloud):
     solo = [fisher_point_vs_set(*point_and_rest(cloud, i)) for i in range(cloud.n)]
-    checks = (fisher_separable_set, linearly_separable_set) if linear else (fisher_separable_set,)
     for verdict_only in (False, True):
-        for report in (check(cloud, verdict_only=verdict_only) for check in checks):
+        for report in (check(cloud, verdict_only=verdict_only)
+                       for check in (fisher_separable_set, linearly_separable_set)):
             inspected = solo[: len(report.flags)]
             assert report.flags.tolist() == [c.separable for c in inspected]
             assert_same_floats(report.margins, [c.margin for c in inspected])
@@ -462,14 +488,11 @@ def assert_reports_equal_point_checks(cloud, linear=True):
 @pytest.mark.parametrize("make", [near_tie_cloud, dyadic_cloud, mixed_magnitude_cloud,
                                   scaled_down_cloud])
 def test_set_report_margins_equal_point_margins(make):
-    # the simplex's pivot tolerance is absolute, so at 2**-600 the cascade's LP
-    # stalls; there the linear report is left out (it reads the same flags)
-    linear = make is not scaled_down_cloud
     rng = np.random.default_rng(13)
     undecided = 0
     for _ in range(60):
         cloud = make(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25)))
-        solo = assert_reports_equal_point_checks(cloud, linear)
+        solo = assert_reports_equal_point_checks(cloud)
         undecided += sum(not c.separable for c in solo)
     assert undecided > 0
 
@@ -487,32 +510,29 @@ def test_set_report_overrules_a_wrong_float32_sign():
 
 
 def test_fisher_flags_equal_point_verdicts_where_float64_overflows():
-    # at 2**600 the point check's float64 products overflow (its margins are
-    # inf or NaN); the flags follow it rather than the exact sign
+    # at 2**600 the unscaled float64 products would overflow; the checks decide
+    # the cloud times 2**-e, and margins beyond float64 come back as +-inf
+    # (with no warning, which the suite would turn into an error)
     rng = np.random.default_rng(17)
     for make in (near_tie_cloud, dyadic_cloud):
         for _ in range(20):
             pts = make(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25))).points * 2.0**600
-            with np.errstate(over="ignore", invalid="ignore"):
-                solo = [fisher_point_vs_set(pts[i], np.delete(pts, i, axis=0))
-                        for i in range(len(pts))]
-                assert fisher_flags(pts).tolist() == [c.separable for c in solo]
-                assert_same_floats(fisher_margins(pts), [c.margin for c in solo])
+            solo = [fisher_point_vs_set(pts[i], np.delete(pts, i, axis=0))
+                    for i in range(len(pts))]
+            assert fisher_flags(pts).tolist() == [c.separable for c in solo]
+            assert_same_floats(fisher_margins(pts), [c.margin for c in solo])
 
 
 def test_sign_band_sends_every_row_to_the_fallback_where_its_bound_fails():
     norms = np.array([0.0, 0.5, 1.0])
-    band = separability._sign_band(40, norms, 0)
+    band = separability._sign_band(40, norms)
     assert np.all(np.isfinite(band)) and np.all(band > 0.0)
     # gamma_{d+2} is undefined from d + 2 = 2**24 on; no such cloud is built
-    assert np.all(np.isfinite(separability._sign_band(2**24 - 3, norms, 0)))
+    assert np.all(np.isfinite(separability._sign_band(2**24 - 3, norms)))
     for d in (2**24 - 2, 2**24, 2**60):
-        assert np.all(separability._sign_band(d, norms, 0) == np.inf)
+        assert np.all(separability._sign_band(d, norms) == np.inf)
     for bad in (np.nan, np.inf, -np.inf, -0.5):
-        assert np.all(separability._sign_band(40, np.array([0.5, bad, 0.0]), 0) == np.inf)
-    # unscaled float64 products that may overflow, and ones below the normal range
-    assert np.all(separability._sign_band(40, norms, 510) == np.inf)
-    assert np.all(separability._sign_band(40, norms, -600) > 2.0**100)
+        assert np.all(separability._sign_band(40, np.array([0.5, bad, 0.0])) == np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +595,60 @@ def test_lp_decides_the_triangle_at_large_scales(e):
             == exact_point_vs_set(inside, triangle).verdict == "not_separable")
 
 
-def test_lp_rejects_differences_beyond_float64():
-    # finite input whose hull program is not: x - y overflows to inf
+def times_two_to(value, e):
+    """value * 2**e as the checks scale a margin back: a positive value that
+    underflows reads as the least positive float."""
+    scaled = math.ldexp(value, e)
+    return math.ulp(0.0) if scaled == 0.0 and value > 0.0 else scaled
+
+
+TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+
+
+@pytest.mark.parametrize("e", [-1000, -600, -150, 27, 300, 520])
+def test_lp_decides_scaled_programs_as_at_unit_scale(e):
+    # the LP decides x and the set times 2**-(their exponent), so a program
+    # times 2**e gives the unit program's verdict, normal and coefficients bit
+    # for bit, and its margin times 2**e; the suite turns RuntimeWarnings into
+    # errors, so no overflow warning passes either
+    programs = [(TRIANGLE[0], TRIANGLE[1:]), (np.array([0.125, 0.25]), TRIANGLE),
+                *itertools.islice(simplex_pin_instances(), 800)]
+    for x, others in programs:
+        unit = lp_point_vs_set(x, others)
+        scaled = lp_point_vs_set(np.ldexp(x, e), np.ldexp(others, e))
+        assert (scaled.verdict, scaled.method) == (unit.verdict, unit.method)
+        assert scaled.margin == times_two_to(unit.margin, e)
+        for field in ("hyperplane", "coefficients"):
+            u, v = getattr(unit, field), getattr(scaled, field)
+            assert (u is None) == (v is None) and (u is None or u.tobytes() == v.tobytes())
+
+
+def test_lp_decides_differences_beyond_float64():
+    # x - y overflows float64 here, but not on the input times 2**-1024; the
+    # margin 2 * 1e308 comes back as inf, with no warning
     x = np.array([1e308, 0.0])
     others = np.array([[-1e308, 0.0], [0.0, 1e308]])
-    with pytest.raises(DomainError, match="overflows float64"):
-        lp_point_vs_set(x, others)
+    cert = lp_point_vs_set(x, others)
+    assert cert.separable and cert.margin == math.inf
+    assert cert.hyperplane.tolist() == [1.0, -1.0]
+    assert exact_point_vs_set(x, others).separable
+
+
+@pytest.mark.parametrize("e, margin", [(-500, 2.0**-1000), (-540, math.ulp(0.0)),
+                                       (-600, math.ulp(0.0)), (600, math.inf)])
+def test_fisher_decides_the_triangle_at_extreme_scales(e, margin):
+    # the float64 products of the triangle at 2**-540 underflow, and at 2**600
+    # they overflow; on the input times 2**-(its exponent) they do neither, and
+    # the margin 2**(2e) comes back as the least positive float or inf
+    points = np.ldexp(TRIANGLE, e)
+    cert = fisher_point_vs_set(points[0], points[1:])
+    assert cert.separable and cert.margin == margin
+    if e < 0:  # the re-check multiplies the unscaled normal and points
+        assert verify_certificate(cert, points[0], points[1:])
+    assert not fisher_point_vs_set(points[2] / 8, points).separable
+    report = fisher_separable_set(cloud_from(np.ldexp(TRIANGLE, min(e, -1))))
+    assert report.flags.tolist() == [c.separable for c in report.per_point] == [True] * 3
+    assert np.all(report.margins > 0.0)
 
 
 def test_lp_tol_validation():
@@ -1083,7 +1151,7 @@ def certificate_bytes(cert):
 
 # sha256 of every simplex result and certificate of simplex_pin_instances, and
 # of the set check's certificates on the two set clouds
-PINNED_SIMPLEX_DIGEST = "38eaaa6fa189b4e7acb4c568174ec5b5250cfec5469a755198cabb0f39953f7b"
+PINNED_SIMPLEX_DIGEST = "4eed122eb7e5ead82af47a2fbec91cd56370211e4bd6141b6d4dc5295ffadfcf"
 
 
 def test_simplex_results_and_certificates_pinned(monkeypatch):
@@ -1112,7 +1180,7 @@ def test_simplex_results_and_certificates_pinned(monkeypatch):
 
 # sha256, in PINNED_SIMPLEX_DIGEST's format, of every solve and LP certificate
 # of the set checks in test_long_simplex_solves_pinned
-PINNED_LONG_SIMPLEX_DIGEST = "21a11c86475d9648a8887b666384ed0f48b67a8ff2e231b2fecf79bb502f69f1"
+PINNED_LONG_SIMPLEX_DIGEST = "dc3d7b74e6b43b6be0ce8eecc8575ccf8d5e31587e1e85667ba4c67b46e2f202"
 
 
 def test_long_simplex_solves_pinned(monkeypatch):
@@ -1255,17 +1323,15 @@ def test_certificates_recheck_on_random_clouds():
 def test_near_tie_lp_certificates_recheck():
     # the gaps of these certificates are ~1e-10 against products of ~0.25, so
     # re-checking the claimed margin takes the rounding-error bound, and gaps
-    # inside it are decided exactly
-    rng = np.random.default_rng(7)
+    # inside it are decided exactly; the coefficients of every not_separable
+    # certificate rebuild x, on the near-tie and on the dyadic clouds
     separable = 0
-    for _ in range(200):
-        cloud = near_tie_cloud(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25)))
+    for n, cloud in enumerate(tie_clouds()):
         for i in range(cloud.n):
             x, others = cloud.points[i], np.delete(cloud.points, i, axis=0)
             cert = lp_point_vs_set(x, others)
-            if cert.separable:
-                separable += 1
-                assert verify_certificate(cert, x, others), i
+            separable += cert.separable
+            assert verify_certificate(cert, x, others), (n, i)
     assert separable > 1000
 
 

@@ -50,8 +50,8 @@ def test_integer_checks_only_in_the_validator():
 
 
 def test_array_finiteness_only_in_the_helper():
-    # one finiteness test, errors.all_finite: np.isfinite over an array builds
-    # a mask the size of the array, and copies of a check drift apart
+    # one finiteness test, math.isfinite of dyadic.peak: np.isfinite over an
+    # array builds a mask the size of the array, and copies of a check drift apart
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -59,7 +59,7 @@ def test_array_finiteness_only_in_the_helper():
         if isinstance(node, ast.Attribute) and node.attr == "isfinite"
         and not (isinstance(node.value, ast.Name) and node.value.id == "math")
     ]
-    assert not found, f"array finiteness checks outside errors.all_finite: {found}"
+    assert not found, f"array finiteness checks not read off dyadic.peak: {found}"
 
 
 def _top_level_names(tree) -> set[str]:
@@ -110,6 +110,18 @@ def test_the_simplex_validates_no_input():
             if getattr(node, "id", getattr(node, "attr", None)) == "DomainError":
                 found.append(f"DomainError at line {node.lineno}")
     assert not found, f"lp.py validates input: {found}"
+
+
+def test_the_separability_checks_raise_no_domain_error_of_their_own():
+    # outside input is checked by errors.check_point_set and check_real; the
+    # checks decide x and the set times 2**-e, so no finite input can overflow
+    # the hull program, and no scale needs a rejection of its own
+    path = PACKAGE / "separability.py"
+    found = [f"line {node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if getattr(node, "id", getattr(node, "attr", None)) == "DomainError"
+             or isinstance(node, ast.alias) and node.name == "DomainError"]
+    assert not found, f"separability.py names DomainError: {found}"
 
 
 def test_no_module_imports_private_names():

@@ -9,7 +9,8 @@ import pytest
 from layersep.asymptotics import fisher_gap_exact
 from layersep.bounds import BoundQuery
 from layersep.cli import EXIT_DOMAIN, main
-from layersep.errors import DomainError, all_finite, check_int, check_point_set, check_real
+from layersep.dyadic import peak
+from layersep.errors import DomainError, check_int, check_point_set, check_real
 from layersep.experiments import ExperimentPlan
 from layersep.geometry import LayerSpec, PointCloud
 
@@ -78,8 +79,9 @@ def spoiled(a, where, bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
 def test_every_finiteness_check_rejects_a_non_finite_coordinate(bad, where, tmp_path, capsys):
     points, x = spoiled(FINITE_SET, where, bad), spoiled(FINITE_SET[0], where, bad)
-    assert all_finite(FINITE_SET) and all_finite(FINITE_SET[0])
-    assert not all_finite(points) and not all_finite(x)
+    # the one finiteness test: the peak of an array is finite exactly when its entries are
+    assert math.isfinite(peak(FINITE_SET)) and math.isfinite(peak(FINITE_SET[0]))
+    assert not math.isfinite(peak(points)) and not math.isfinite(peak(x))
     with pytest.raises(DomainError, match="finite coordinates"):
         check_point_set(FINITE_SET[0], points)
     with pytest.raises(DomainError, match="finite coordinates"):
@@ -93,6 +95,6 @@ def test_every_finiteness_check_rejects_a_non_finite_coordinate(bad, where, tmp_
 
 
 def test_finiteness_of_empty_sets():
-    assert all_finite(np.empty(0)) and all_finite(np.empty((0, 3)))
+    assert math.isfinite(peak(np.empty(0))) and math.isfinite(peak(np.empty((0, 3))))
     assert check_point_set(FINITE_SET[0], np.empty((0, 3)))[1].shape == (0, 3)
     assert PointCloud(layer=LayerSpec(d=3, r=0.0), points=np.empty((0, 3)), seed=0).n == 0
