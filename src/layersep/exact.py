@@ -9,7 +9,7 @@ to 1, then ``0 = (A, X - X) = sum(lam_j (A, X - Y_j)) > 0``.  Candidates come
 from floats: the Fisher normal A = X, then the normal after each of at most
 ``PERCEPTRON_STEPS`` perceptron steps ``A <- A + (X - Y*) / 2``, with Y* the
 point of largest ``(A, Y)``.  The search runs on a copy scaled by ``2**-e``,
-with e the ``scale_exponent`` of X and M, so no product overflows.  It only
+with e the exponent the input check returns, so no product overflows.  It only
 proposes: a candidate whose float gaps are not all > 0 is skipped, and one
 whose float gaps are counts only if every gap is positive in exact integer
 arithmetic (:func:`layersep.dyadic.integer_gaps_positive`).  Rounding can cost
@@ -23,8 +23,8 @@ of the hull, so a ``not_separable`` certificate always comes from the first
 such subset, smallest size first and in lexicographic order.  The systems are
 solved on integers (:func:`layersep.dyadic.barycentric_if_inside`): one common
 power of two makes every coordinate of X and M an exact Python int, in the one
-pass (:func:`layersep.dyadic.scaled_to_integers`) that also yields e and feeds
-the proof's sign tests.  Only the d coordinate equations are scaled, on both
+pass (:func:`layersep.dyadic.scaled_to_integers`) that also feeds the proof's
+sign tests.  Only the d coordinate equations are scaled, on both
 sides, so the solution is unchanged and the affine row ``sum(lam) = 1`` stays
 all ones.  Each coefficient is one correctly rounded int true division,
 ``num_j / den``.
@@ -60,7 +60,7 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
     finite set of shape (k, d) and ``max_subsets`` an integer >= 1, and
     EnumerationLimitError when the subsets to enumerate exceed ``max_subsets``.
     """
-    x, others, _ = check_point_set(x, others)
+    x, others, (_, e) = check_point_set(x, others)
     max_subsets = check_int(max_subsets, "max_subsets", 1)
     m, d = others.shape
     if m == 0:
@@ -72,9 +72,8 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
             f"enumeration of {total} subsets exceeds the guard ({max_subsets}); "
             f"instance m={m}, d={d} is too large for the exact oracle"
         )
-    x_list, others_list = x.tolist(), others.tolist()
-    (target, *points), exponent = scaled_to_integers([x_list, *others_list])
-    normals = _candidate_normals(x_list, others_list, exponent)
+    (target, *points), _ = scaled_to_integers([x.tolist(), *others.tolist()])
+    normals = _candidate_normals(np.ldexp(x, -e).tolist(), np.ldexp(others, -e).tolist())
     if any(integer_gaps_positive(normal, target, points) for normal in normals):
         return SeparabilityCertificate("separable", "exact_oracle", 0.0)
     for k in range(1, k_max + 1):
@@ -91,22 +90,19 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
     return SeparabilityCertificate("separable", "exact_oracle", 0.0)
 
 
-def _candidate_normals(x: list[float], others: list[list[float]], exponent: int):
+def _candidate_normals(x: list[float], others: list[list[float]]):
     """Float normals A whose computed gaps (A, x) - (A, y) are all > 0, as lists.
 
     The Fisher normal A = x first, then the normal after each perceptron step,
-    all on x and ``others`` times ``2**-exponent``.  That scaling is exact (into
-    the subnormal range it drops bits, which only changes what is proposed).
-    With every coordinate below 1, each step adds at most 1 to max|A|, so every
-    candidate and product is finite.
+    on x and ``others`` scaled by a power of two to coordinates below 1 (exact;
+    into the subnormal range it drops bits, which only changes what is
+    proposed).  So each step adds at most 1 to max|A|, and every candidate and
+    product is finite.
     The search runs on Python floats: on instances this small they beat
     numpy's per-call cost, and they hold the GIL, where ``np.argmax`` drops it
     on every call and so hands it back and forth between threads that run the
-    oracle side by side.  A point in R^0 has exponent 0 and no candidate.
+    oracle side by side.  A point in R^0 has no candidate.
     """
-    if exponent:  # 0 when max|coord| lies in [0.5, 1) or is 0: scaling would only copy
-        x = [math.ldexp(v, -exponent) for v in x]
-        others = [[math.ldexp(v, -exponent) for v in y] for y in others]
     normal = x
     for _ in range(PERCEPTRON_STEPS):
         products = [sum(map(mul, normal, y)) for y in others]

@@ -145,8 +145,12 @@ class SetReport:
 
     @cached_property
     def per_point(self) -> tuple[SeparabilityCertificate, ...]:
-        return tuple(self.lp_certificates.get(i) or _fisher_certificate(self.points[i], margin)
-                     for i, margin in enumerate(self.margins.tolist()))
+        return tuple(
+            self.lp_certificates[i]
+            if i in self.lp_certificates
+            else _fisher_certificate(self.points[i], margin)
+            for i, margin in enumerate(self.margins.tolist())
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +170,9 @@ def gap_error_bound(d: int, a_peak, x_peak, y_peak):
     """
     # any summation order gives |fl(a.y) - (a,y)| <= d u sum|a_k y_k| <= d^2 u
     # max|a| max|y|: the bound covers two such errors and underflow
-    return 4.0 * d * d * 2.0**-53 * a_peak * (x_peak + y_peak) + d * 2.0**-1072
-
-
-def _scaled(a: np.ndarray, e: int) -> np.ndarray:
-    return np.ldexp(a, -e) if e else a
+    band = 4.0 * d * d * 2.0**-53 * a_peak * (x_peak + y_peak)
+    band += d * 2.0**-1072
+    return band
 
 
 def _fisher_certificate(x: np.ndarray, margin: float) -> SeparabilityCertificate:
@@ -229,7 +231,8 @@ def fisher_flags(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarra
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, d = points.shape
     # scaled so that max|coord| lies in [0.5, 1): nothing overflows float32
-    scaled = _scaled(points, scale_exponent(points))
+    exponent = scale_exponent(points)
+    scaled = np.ldexp(points, -exponent) if exponent else points
     band = _sign_band(d, np.sqrt(np.einsum("ij,ij->i", scaled, scaled)))
     rows = scaled.astype(np.float32)
     columns = np.ascontiguousarray(rows.T)  # a faster GEMM operand than the view
@@ -263,7 +266,7 @@ def fisher_margins(points: np.ndarray, count: int | None = None) -> np.ndarray:
     ``count`` rows (default all), equal to ``fisher_point_vs_set``'s bit for bit."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     e = scale_exponent(points)
-    scaled = _scaled(points, e)
+    scaled = np.ldexp(points, -e) if e else points
     rows = range(len(points) if count is None else count)
     return np.array([times_two_to(2 * e, _point_margin(scaled[i], scaled, i)) for i in rows])
 
@@ -271,7 +274,8 @@ def fisher_margins(points: np.ndarray, count: int | None = None) -> np.ndarray:
 def fisher_point_vs_set(x: np.ndarray, others: np.ndarray) -> SeparabilityCertificate:
     """Fisher-separate an arbitrary point from an arbitrary finite set."""
     x, others, (_, e) = check_point_set(x, others)
-    margin = _point_margin(_scaled(x, e), np.ascontiguousarray(_scaled(others, e)))
+    others = np.ldexp(others, -e) if e else np.ascontiguousarray(others)
+    margin = _point_margin(np.ldexp(x, -e), others)
     return _fisher_certificate(x, times_two_to(2 * e, margin))
 
 
@@ -305,7 +309,9 @@ def lp_point_vs_set(
     tol = check_real(tol, "tol", 0.0, np.inf)
     k, d = others.shape
     if k == 0:
-        return SeparabilityCertificate("separable", "lp", math.inf, hyperplane=x.copy())
+        return SeparabilityCertificate(
+            "separable", "lp", float("inf"), hyperplane=x.copy()
+        )
     tol_eff = tol * top  # relative to the largest coordinate, times 2**-e
 
     # min sum(u) + sum(v)  s.t.  (others - x).T @ lam + u - v = 0,  sum(lam) = 1:
@@ -313,10 +319,9 @@ def lp_point_vs_set(
     # of x enter as differences at full relative precision and their nearly
     # parallel columns do not swamp the simplex in rounding error
     A = np.zeros((d + 1, k + 2 * d))
-    x, diff = _scaled(x, e), A[:d, :k]
-    if e:  # the set is scaled in place, so that A is the one k x d array made
-        np.ldexp(others.T, -e, out=diff)
-    np.subtract(diff if e else others.T, x[:, None], out=diff)
+    x, diff = np.ldexp(x, -e), A[:d, :k]
+    np.ldexp(others.T, -e, out=diff)  # scaled in place: A is the one k x d array made
+    diff -= x[:, None]
     step = k + 2 * d + 1  # flat distance from A[i, j] to A[i + 1, j + 1]
     A.flat[k : k + d * step : step] = 1.0
     A.flat[k + d : k + d + d * step : step] = -1.0

@@ -976,16 +976,16 @@ def one_exponent_instances():
 
 
 def test_oracle_exponent_and_integer_sign_test_match_dyadic(monkeypatch):
-    # the oracle takes its search exponent from its one integer pass, and tests
-    # candidates with the integer core of the sign test: both must equal the
-    # float-facing helpers the rest of the package calls, and the sign test
-    # must equal the rational one
+    # the oracle searches on the input times 2**-e, with e from the input check,
+    # and tests candidates with the integer core of the sign test: both must
+    # equal the float-facing helpers the rest of the package calls, and the
+    # sign test must equal the rational one
     seen = []
     search = exact._candidate_normals
 
-    def recorded(x, others, exponent):
-        seen.append(exponent)
-        return search(x, others, exponent)
+    def recorded(x, others):
+        seen.append((x, others))
+        return search(x, others)
 
     monkeypatch.setattr(exact, "_candidate_normals", recorded)
     rng = np.random.default_rng(67)
@@ -994,7 +994,8 @@ def test_oracle_exponent_and_integer_sign_test_match_dyadic(monkeypatch):
         seen.clear()
         if len(others):
             exact_point_vs_set(x, others)
-            assert seen == [dyadic.scale_exponent(x, others)], (x, others)
+            e = dyadic.scale_exponent(x, others)
+            assert seen == [(np.ldexp(x, -e).tolist(), np.ldexp(others, -e).tolist())], (x, others)
         (xs, *ys), exponent = dyadic.scaled_to_integers([x.tolist(), *others.tolist()])
         assert exponent == dyadic.scale_exponent(x, others)
         for normal in (x, rng.standard_normal(len(x)), x - others[:1].sum(axis=0)):
