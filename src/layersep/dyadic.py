@@ -7,10 +7,10 @@ power of two, ``v = m * 2**(e - 53)`` with ``(m, e)`` as ``math.frexp`` gives
 them and m scaled by ``2**53``.  So one common factor ``2**s`` with
 ``s = max(53 - e)`` over the nonzero entries makes every entry an exact Python
 int, with no float rounding or overflow on the way, and the smallest of them is
-no wider than 53 bits; the largest such e is their ``scale_exponent``.  Sums
-and products of the scaled entries are then exact, so the exact hull oracle and
-the certificate re-check decide "a hyperplane separates" with no tolerance, by
-the one sign test here, ``gaps_positive_exactly`` or its integer core.  The
+no wider than 53 bits.  Sums and products of the scaled entries are then
+exact, so the exact hull oracle and the certificate re-check decide "a
+hyperplane separates" with no tolerance, by the one sign test here,
+``gaps_positive_exactly`` or its integer core.  The
 oracle decides "X is in the hull" with the one membership test,
 ``barycentric_if_inside``: fraction-free Gaussian elimination (Bareiss 1968),
 whose step t replaces every entry below and to the right of the pivot ``a_tt``
@@ -60,15 +60,13 @@ def times_two_to(e: int, value: float) -> float:
 
 
 def scaled_to_integers(rows):
-    """Finite float rows times one common power of two as exact ints, and their
-    ``scale_exponent``."""
+    """Finite float rows times one common power of two as exact ints."""
     # v = m * 2**(e - 53) with frexp's m scaled to an integer below 2**53, so
     # v * 2**s is that integer shifted left by s + e - 53 >= 0
     parts = [[math.frexp(v) for v in row] for row in rows]
-    exponents = [e for row in parts for m, e in row if m]
-    s = 53 - min(exponents, default=53)
+    s = 53 - min((e for row in parts for m, e in row if m), default=53)
     ints = [[int(math.ldexp(m, 53)) << (s + e - 53) if m else 0 for m, e in row] for row in parts]
-    return ints, max(exponents, default=0)
+    return ints
 
 
 def gaps_positive_exactly(normal, x, others) -> bool:
@@ -80,13 +78,13 @@ def gaps_positive_exactly(normal, x, others) -> bool:
     """
     if len(others) == 0:
         return True
-    (xs, *ys), _ = scaled_to_integers([x, *others])
+    xs, *ys = scaled_to_integers([x, *others])
     return integer_gaps_positive(normal, xs, ys)
 
 
 def integer_gaps_positive(normal, x, others) -> bool:
     """``gaps_positive_exactly`` on x and others already scaled to ints together."""
-    (a,), _ = scaled_to_integers([normal])
+    (a,) = scaled_to_integers([normal])
     return all(sum(map(mul, a, map(sub, x, y))) > 0 for y in others)
 
 

@@ -72,7 +72,7 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
             f"enumeration of {total} subsets exceeds the guard ({max_subsets}); "
             f"instance m={m}, d={d} is too large for the exact oracle"
         )
-    (target, *points), _ = scaled_to_integers([x.tolist(), *others.tolist()])
+    target, *points = scaled_to_integers([x.tolist(), *others.tolist()])
     normals = _candidate_normals(np.ldexp(x, -e).tolist(), np.ldexp(others, -e).tolist())
     if any(integer_gaps_positive(normal, target, points) for normal in normals):
         return SeparabilityCertificate("separable", "exact_oracle", 0.0)
