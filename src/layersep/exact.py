@@ -72,8 +72,11 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
             f"enumeration of {total} subsets exceeds the guard ({max_subsets}); "
             f"instance m={m}, d={d} is too large for the exact oracle"
         )
-    target, *points = scaled_to_integers([x.tolist(), *others.tolist()])
-    normals = _candidate_normals(np.ldexp(x, -e).tolist(), np.ldexp(others, -e).tolist())
+    x_list, others_list = x.tolist(), others.tolist()
+    target, *points = scaled_to_integers([x_list, *others_list])
+    if e:  # 0 when max|coord| lies in [0.5, 1) or is 0: scaling would only copy
+        x_list, others_list = np.ldexp(x, -e).tolist(), np.ldexp(others, -e).tolist()
+    normals = _candidate_normals(x_list, others_list)
     if any(integer_gaps_positive(normal, target, points) for normal in normals):
         return SeparabilityCertificate("separable", "exact_oracle", 0.0)
     for k in range(1, k_max + 1):
