@@ -29,10 +29,9 @@ import numpy as np
 
 from . import asymptotics as asymptotics_mod
 from .bounds import BOUND_IDS, COUNT_BOUND_IDS, evaluate_bound
-from .dyadic import peak, scale_exponent
 from .errors import DomainError, EnumerationLimitError, LPStallError, check_int, check_real
 from .experiments import POOL_MIN_COORDS, ExperimentPlan, ExperimentRecord, run_experiment
-from .geometry import LayerSpec, PointCloud, sample_layer
+from .geometry import LayerSpec, sample_layer
 from .separability import (
     DEFAULT_TOL,
     fisher_point_vs_set,
@@ -378,16 +377,7 @@ def _read_point_matrix(source) -> np.ndarray:
 
 
 def _run_check(ns) -> None:
-    pts = _read_point_matrix(ns.input)
-    if not math.isfinite(peak(pts)):
-        raise DomainError("input points must be finite")
-    # the checks decide the input times a power of two; data beyond the unit ball is
-    # shrunk to fit, its norms taken with max|coord| in [0.5, 1) so no square overflows
-    exponent = scale_exponent(pts)
-    scaled = np.ldexp(pts, -exponent)
-    max_norm = float(np.linalg.norm(scaled, axis=1).max())  # times 2**exponent
-    if exponent > 1 or math.ldexp(max_norm, exponent) > 1.0:  # a coordinate >= 2: norm > 1
-        pts = scaled / max_norm
+    pts = _read_point_matrix(ns.input)  # the checks take it as read, at any scale
     out = sys.stdout
     if ns.mode == "point":
         if pts.shape[0] < 2:
@@ -402,10 +392,9 @@ def _run_check(ns) -> None:
             out.write(_line(kind="linear", separable=str(linear.separable).lower(),
                             margin=linear.margin))
         return
-    cloud = PointCloud(layer=LayerSpec(d=pts.shape[1], r=0.0), points=pts, seed=0)
     # one report, one Gram pass: its flags give the Fisher verdict (SetReport)
-    report = (linearly_separable_set(cloud, tol=ns.tol, verdict_only=True)
-              if "linear" in ns.kind else fisher_separable_set(cloud, verdict_only=True))
+    report = (linearly_separable_set(pts, tol=ns.tol, verdict_only=True)
+              if "linear" in ns.kind else fisher_separable_set(pts, verdict_only=True))
     if "fisher" in ns.kind:
         fisher_ok = bool(report.flags.all())
         out.write(_line(kind="fisher", all_separable=str(fisher_ok).lower(),

@@ -62,25 +62,31 @@ def check_real(value, name: str, low: float, high: float, low_closed: bool = Fal
     return number + 0.0
 
 
-def check_point_set(x, others) -> tuple[np.ndarray, np.ndarray, tuple[float, int]]:
-    """``x`` and ``others`` as float64 arrays, a point and a finite set of points
-    in its dimension, and ``split_peak(peak(x, others))``, read off the
-    reductions of the finiteness test.
+def check_points(points) -> tuple[np.ndarray, float]:
+    """``points`` as a C-contiguous float64 array of shape (n, d), a finite set of
+    points, and its ``peak``, read off the reductions of the finiteness test.
+    Other shapes, values that are not numbers and NaN or inf raise DomainError."""
+    try:
+        points = np.ascontiguousarray(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"a set of points must be a numeric array: {exc}") from None
+    top = peak(points) if points.ndim == 2 else math.nan  # NaN or inf for a non-finite entry
+    if not math.isfinite(top):
+        raise DomainError(f"a set needs shape (n, d) and finite coordinates, got {points.shape}")
+    return points, top
 
-    Anything else (x not 1-d, others not 2-d with ``len(x)`` columns), values
-    that are not numbers, and NaN or infinite coordinates raise DomainError.
-    """
+
+def check_point_set(x, others) -> tuple[np.ndarray, np.ndarray, tuple[float, int]]:
+    """``x`` and ``others`` as float64 arrays, a finite point and a set of points
+    (``check_points``) in its dimension, and ``split_peak(peak(x, others))``, read
+    off the reductions of the finiteness tests; anything else raises DomainError."""
+    others, others_peak = check_points(others)
     try:
         x = np.asarray(x, dtype=np.float64)
-        others = np.asarray(others, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise DomainError(f"a point and a set of points must be numeric arrays: {exc}") from None
-    if x.ndim != 1 or others.ndim != 2 or others.shape[1] != x.shape[0]:
-        raise DomainError(
-            "need a point of shape (d,) and a set of shape (k, d), "
-            f"got {x.shape} and {others.shape}"
-        )
-    x_peak, others_peak = peak(x), peak(others)  # NaN or inf for a non-finite entry
-    if not (math.isfinite(x_peak) and math.isfinite(others_peak)):
-        raise DomainError("a point and a set of points need finite coordinates")
+        raise DomainError(f"a point must be a numeric array: {exc}") from None
+    x_peak = peak(x)
+    if not (x.shape == others.shape[1:] and math.isfinite(x_peak)):
+        raise DomainError(f"a point needs shape {others.shape[1:]} and finite coordinates, "
+                          f"got {x.shape}")
     return x, others, split_peak(max(x_peak, others_peak))

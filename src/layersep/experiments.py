@@ -177,10 +177,10 @@ def _point_trial(plan, layer, trial_idx):
 
 
 def _set_trial(plan, layer, trial_idx):
-    cloud = sample_layer(layer, plan.n, _trial_seed(plan, layer.d, layer.r, trial_idx))
+    points = sample_layer(layer, plan.n, _trial_seed(plan, layer.d, layer.r, trial_idx)).points
     linear = "linear" in plan.check_kinds
-    report = (linearly_separable_set(cloud, tol=plan.tol, verdict_only=True) if linear
-              else fisher_separable_set(cloud, verdict_only=True))
+    report = (linearly_separable_set(points, tol=plan.tol, verdict_only=True) if linear
+              else fisher_separable_set(points, verdict_only=True))
     # one Gram pass serves both kinds: the flags give the Fisher verdict (SetReport)
     fisher_ok = "fisher" in plan.check_kinds and bool(report.flags.all())
     return linear and report.all_separable, fisher_ok, report.lp_calls, report.lp_skipped_by_fisher

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import peak
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_int, check_points, check_real
 
 __all__ = [
     "LayerSpec",
@@ -93,15 +93,11 @@ class PointCloud:
     seed: int
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise DomainError(f"points must be a 2-d array, got shape {pts.shape}")
+        pts, _ = check_points(self.points)
         if pts.shape[1] != self.layer.d:
             raise DomainError(
                 f"points have dimension {pts.shape[1]}, layer has d={self.layer.d}"
             )
-        if not math.isfinite(peak(pts)):
-            raise DomainError("points must be finite")
         _check_in_shell(_row_norms(pts), self.layer)
         pts = pts.copy()
         pts.flags.writeable = False

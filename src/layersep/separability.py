@@ -14,25 +14,26 @@ Two notions of separability for a point X against a finite set M:
   convex coefficients; so one solve produces the witness for either verdict.
 
 Neither notion changes under positive scaling, and scaling by a power of two is
-exact, so both point checks and ``fisher_flags`` decide X and M times
-``2**-e``, with e their ``dyadic.scale_exponent``: no product over- or
+exact, so both point checks, ``fisher_flags`` and the perceptron stage decide X
+and M times ``2**-e``, with e the exponent of their peak: no product over- or
 underflows, and the simplex's absolute tolerances see the same floats at any
 scale.  Margins come back times ``2**2e`` (Fisher) or ``2**e`` (LP) by
 ``dyadic.times_two_to``, which keeps a positive margin > 0.
 
-Set-level checks ask whether every point is separable from the others
-(1-convexity).  Both use only the sign of each Fisher margin, from one float32
-blockwise Gram kernel, ``fisher_flags``; its rounding band sends close calls to
-the point check's float64 product, so every sign is that check's verdict.
-Margin values are computed only when read, and equal its margins bit for bit.
-The linear set check is a cascade (Gorban et al. 2018): a point that fails the
-Fisher test gets at most ``PERCEPTRON_STEPS`` perceptron steps from its Fisher
-normal X, and only a point the perceptron does not certify goes to the simplex.
-Novikoff (1962) bounds the steps a perceptron needs by (R / gamma)^2, so
-well-separated points are settled by a few matvecs.  A perceptron normal is
-accepted only when its computed margin exceeds the LP's tolerance by more than
-the rounding-error bound of the products (``gap_error_bound``), so it certifies
-only points the LP calls separable.
+Set-level checks ask whether every row of an (n, d) array, any finite input
+``errors.check_points`` accepts, is separable from the others (1-convexity).
+Both use only the sign of each Fisher margin, from one float32 blockwise Gram
+kernel, ``fisher_flags``; its rounding band sends close calls to the point
+check's float64 product, so every sign is that check's verdict.  Margin values
+are computed only when read, and equal its margins bit for bit.  The linear set
+check is a cascade (Gorban et al. 2018): a point that fails the Fisher test
+gets at most ``PERCEPTRON_STEPS`` perceptron steps from its Fisher normal X,
+and only a point the perceptron does not certify goes to the simplex.  Novikoff
+(1962) bounds the steps a perceptron needs by (R / gamma)^2, so well-separated
+points are settled by a few matvecs.  A perceptron normal is accepted only when
+its computed margin exceeds the LP's tolerance by more than the rounding-error
+bound of the products (``gap_error_bound``), so it certifies only points the LP
+calls separable.
 
 A separable certificate is re-checked with the same bound: a computed gap
 (A, X) - (A, Y) beyond the bound has the sign of the exact one, and a gap
@@ -48,9 +49,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import gaps_positive_exactly, peak, scale_exponent, times_two_to
-from .errors import LPStallError, check_point_set, check_real
-from .geometry import PointCloud
+from .dyadic import gaps_positive_exactly, peak, split_peak, times_two_to
+from .errors import LPStallError, check_point_set, check_points, check_real
 from .lp import solve_standard_form
 
 __all__ = [
@@ -111,11 +111,13 @@ class SetReport:
     """Outcome of a 1-convexity check; margins and certificates are built on demand.
 
     ``flags`` holds whether each inspected point in order passed the Fisher
-    test, and ``margins`` (computed when read) its Fisher margin, > 0 exactly
-    where the flag is set.  ``lp_certificates`` holds the certificate of each
-    point handed past the Fisher screen, by index, whether the perceptron stage
-    or the simplex decided it.  In verdict-only mode the inspected points, and
-    so ``per_point``, stop at the first failure.  A linear failure fails the
+    test, and ``margins`` its Fisher margin, > 0 exactly where the flag is set.
+    ``points`` is the array the check was given (as float64, not copied when it
+    already was); ``margins`` and ``per_point`` read it when first read.
+    ``lp_certificates`` holds the certificate of each point handed past the
+    Fisher screen, by index, whether the perceptron stage or the simplex
+    decided it.  In verdict-only mode the inspected points, and so
+    ``per_point``, stop at the first failure.  A linear failure fails the
     screen first, so the flags of either report give the Fisher verdict.
     ``lp_skipped_by_fisher`` counts the points the screen settled.  The other
     two counters are read off the certificates: ``lp_calls``, the points handed
@@ -217,21 +219,21 @@ def _sign_band(d: int, norms: np.ndarray) -> np.ndarray:
     return ((2.0 * (gamma32 + gamma64) * norm_peak) * norms + floor) * (1.0 + 2.0**-20)
 
 
-def fisher_flags(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarray:
+def fisher_flags(points, stop_at_failure: bool = False) -> np.ndarray:
     """flag_i: is row i Fisher-separable from the other rows, as
-    ``fisher_point_vs_set`` says?  One blockwise float32 Gram pass; a row inside
-    ``_sign_band`` goes to ``_point_margin``.  ``stop_at_failure`` ends the scan
-    after the first block holding a failure, and the result then covers only
-    the rows scanned.
+    ``fisher_point_vs_set`` says?  ``points`` is any set ``check_points``
+    accepts.  One blockwise float32 Gram pass; a row inside ``_sign_band`` goes
+    to ``_point_margin``.  ``stop_at_failure`` ends the scan after the first
+    block holding a failure, and the result then covers only the rows scanned.
 
     Every block is written into one float32 buffer that the calling thread keeps
     across calls and grows to ``FISHER_BLOCK * n`` for the largest n it has seen
     (1 MB at n = 1000, 10 MB at n = 10000) until the thread ends: a block
     allocated per call is returned to the system and faulted in again."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points, top = check_points(points)
     n, d = points.shape
     # scaled so that max|coord| lies in [0.5, 1): nothing overflows float32
-    exponent = scale_exponent(points)
+    _, exponent = split_peak(top)
     scaled = np.ldexp(points, -exponent) if exponent else points
     band = _sign_band(d, np.sqrt(np.einsum("ij,ij->i", scaled, scaled)))
     rows = scaled.astype(np.float32)
@@ -264,8 +266,8 @@ def fisher_flags(points: np.ndarray, stop_at_failure: bool = False) -> np.ndarra
 def fisher_margins(points: np.ndarray, count: int | None = None) -> np.ndarray:
     """Float64 margin (X_i,X_i) - max_{j != i} (X_i,X_j) of each of the first
     ``count`` rows (default all), equal to ``fisher_point_vs_set``'s bit for bit."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    e = scale_exponent(points)
+    points, top = check_points(points)
+    _, e = split_peak(top)
     scaled = np.ldexp(points, -e) if e else points
     rows = range(len(points) if count is None else count)
     return np.array([times_two_to(2 * e, _point_margin(scaled[i], scaled, i)) for i in rows])
@@ -274,21 +276,22 @@ def fisher_margins(points: np.ndarray, count: int | None = None) -> np.ndarray:
 def fisher_point_vs_set(x: np.ndarray, others: np.ndarray) -> SeparabilityCertificate:
     """Fisher-separate an arbitrary point from an arbitrary finite set."""
     x, others, (_, e) = check_point_set(x, others)
-    others = np.ldexp(others, -e) if e else np.ascontiguousarray(others)
+    others = np.ldexp(others, -e) if e else others
     margin = _point_margin(np.ldexp(x, -e), others)
     return _fisher_certificate(x, times_two_to(2 * e, margin))
 
 
-def fisher_separable_set(cloud: PointCloud, verdict_only: bool = False) -> SetReport:
-    """Fisher 1-convexity: every point Fisher-separable from the others.
+def fisher_separable_set(points, verdict_only: bool = False) -> SetReport:
+    """Fisher 1-convexity: every row of ``points`` Fisher-separable from the others.
 
     ``verdict_only`` permits early exit at the first failure, truncating per_point.
     """
-    flags = fisher_flags(cloud.points, stop_at_failure=verdict_only)
+    flags = fisher_flags(points, stop_at_failure=verdict_only)  # checks the points
+    points = np.asarray(points, dtype=np.float64)
     first_failure = None if flags.all() else int(flags.argmin())
     if verdict_only and first_failure is not None:
         flags = flags[: first_failure + 1]
-    return SetReport(first_failure is None, first_failure, flags, cloud.points)
+    return SetReport(first_failure is None, first_failure, flags, points)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +360,7 @@ def lp_point_vs_set(
 
 
 def _perceptron_certificate(
-    points: np.ndarray, i: int, points_peak: float, tol_eff: float
+    points: np.ndarray, i: int, points_peak: float, tol_eff: float, e: int
 ) -> SeparabilityCertificate | None:
     """Separate row i from the other rows by perceptron steps from A = X, or None.
 
@@ -366,10 +369,11 @@ def _perceptron_certificate(
     gap (A, X) - (A, Y) exceeds the LP's tolerance scaled by max|A| by more
     than the rounding-error bound: then A / max|A| is a feasible normal of the
     margin program with a margin above ``tol_eff``, which the LP calls
-    separable.  ``points_peak`` is max |points|.
+    separable.  ``points`` is a set times 2**-e, with max |coordinate|
+    ``points_peak``; the certificate holds A times 2**e, for the set itself.
     """
     x = a = points[i].tolist()
-    x_peak = max(map(abs, x))
+    x_peak = max(map(abs, x), default=0.0)
     for _ in range(PERCEPTRON_STEPS):
         normal = np.array(a)
         products = points @ normal
@@ -380,15 +384,17 @@ def _perceptron_certificate(
         if gap > 0.0:  # the bound is positive, so no other gap can pass
             a_peak = max(map(abs, a))
             if gap > gap_error_bound(len(x), a_peak, x_peak, points_peak) + tol_eff * a_peak:
-                return SeparabilityCertificate("separable", "perceptron", gap, hyperplane=normal)
+                return SeparabilityCertificate("separable", "perceptron", times_two_to(2 * e, gap),
+                                               hyperplane=np.ldexp(normal, e))
         a = [ak + 0.5 * (xk - yk) for ak, xk, yk in zip(a, x, points[j].tolist())]
     return None
 
 
 def linearly_separable_set(
-    cloud: PointCloud, tol: float = DEFAULT_TOL, verdict_only: bool = False
+    points, tol: float = DEFAULT_TOL, verdict_only: bool = False
 ) -> SetReport:
-    """Linear 1-convexity by the Fisher, perceptron, simplex cascade.
+    """Linear 1-convexity of the rows of ``points`` by the Fisher, perceptron,
+    simplex cascade.
 
     Points that pass the Fisher check are recorded separable with
     method='fisher' (Fisher separability implies linear separability).  The
@@ -397,15 +403,16 @@ def linearly_separable_set(
     first not-separable point.
     """
     tol = check_real(tol, "tol", 0.0, np.inf)
-    pts = cloud.points
-    flags = fisher_flags(pts)
+    flags = fisher_flags(points)  # checks the points
+    pts = np.asarray(points, dtype=np.float64)
     lp_certificates: dict[int, SeparabilityCertificate] = {}
     first_failure = None
-    pts_peak = None
+    scaled = None
     for i in np.flatnonzero(~flags).tolist():
-        if pts_peak is None:  # a cloud the Fisher test settles pays nothing here
-            pts_peak = peak(pts)
-        cert = _perceptron_certificate(pts, i, pts_peak, tol * pts_peak)
+        if scaled is None:  # a cloud the Fisher test settles pays nothing here
+            top, e = split_peak(peak(pts))
+            scaled = np.ldexp(pts, -e) if e else pts
+        cert = _perceptron_certificate(scaled, i, top, tol * top, e)
         if cert is None:
             cert = lp_point_vs_set(pts[i], np.delete(pts, i, axis=0), tol)
         lp_certificates[i] = cert
@@ -440,7 +447,7 @@ def verify_certificate(
     trivially.  x, others and ``tol`` > 0 are validated (DomainError); a
     witness of the wrong shape or a non-finite normal fails.
     """
-    x, others, _ = check_point_set(x, others)
+    x, others, (_, e) = check_point_set(x, others)
     tol = check_real(tol, "tol", 0.0, np.inf)
     if cert.separable and cert.hyperplane is not None:
         normal = np.asarray(cert.hyperplane, dtype=np.float64)
@@ -459,7 +466,7 @@ def verify_certificate(
             return False
         if abs(float(lam.sum()) - 1.0) > 1e-7:
             return False
-        recon = lam @ others
-        return bool(np.linalg.norm(recon - x) <= 10.0 * tol)
+        recon = lam @ np.ldexp(others, -e)  # times 2**-e, as the LP decides
+        return bool(np.linalg.norm(recon - np.ldexp(x, -e)) <= 10.0 * tol)
     return cert.hyperplane is None and cert.coefficients is None
 

@@ -29,6 +29,12 @@ from layersep.cli import (
 from layersep.errors import DomainError, LPStallError
 from layersep.experiments import ExperimentPlan, run_experiment
 from layersep.geometry import LayerSpec, sample_layer
+from layersep.separability import (
+    fisher_point_vs_set,
+    fisher_separable_set,
+    linearly_separable_set,
+    lp_point_vs_set,
+)
 
 
 def experiment_argv(*extra):
@@ -447,7 +453,7 @@ def test_check_rejects_too_few_rows(tmp_path, capsys, text, mode, message):
 
 def test_check_point_mode_interior_query(tmp_path, capsys):
     source = tmp_path / "interior.csv"
-    rows = "9,0\n0,9\n-9,0\n0,-9\n0.5,0.5\n"  # scaled to fit the unit ball
+    rows = "9,0\n0,9\n-9,0\n0,-9\n0.5,0.5\n"  # checked as read, outside the unit ball
     source.write_text(rows, encoding="utf-8")
     assert main(["check", "--input", str(source), "--mode", "point"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -457,18 +463,24 @@ def test_check_point_mode_interior_query(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["set", "point"])
 def test_check_output_independent_of_a_huge_scale(tmp_path, capsys, mode):
-    # squares of coordinates near 1e200 overflow; the shrink to the unit ball
-    # must still see the finite norm and give the unit triangle's bytes
+    # squares of coordinates near 1e200 overflow; the checks take the input as
+    # read and decide it times 2**-e, so the verdict fields are the unit
+    # triangle's, and the printed LP margin is lp_point_vs_set's on the input
     def check(scale):
         source = tmp_path / "triangle.csv"
-        rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
-        source.write_text("".join(f"{x * scale!r},{y * scale!r}\n" for x, y in rows),
-                          encoding="utf-8")
+        rows = [[x * scale, y * scale] for x, y in [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]]
+        source.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows), encoding="utf-8")
         assert main(["check", "--input", str(source), "--mode", mode]) == EXIT_OK
-        return capsys.readouterr().out
+        out = capsys.readouterr().out
+        fields = [dict(field.split("=") for field in line.split()) for line in out.splitlines()]
+        if mode == "point":
+            points = np.array(rows)
+            margin = lp_point_vs_set(points[-1], points[:-1]).margin
+            assert float(fields[-1].pop("margin")) == margin
+        return fields
 
     unit = check(1.0)
-    assert "separable=true" in unit and "false" not in unit
+    assert [line.get("separable", line.get("all_separable")) for line in unit] == ["true"] * 2
     assert check(2.0**600) == unit
     assert check(1e200) == unit
 
@@ -494,6 +506,37 @@ def test_check_verdicts_independent_of_a_tiny_scale(tmp_path, capsys, mode, kind
     assert unit["kind"] == kind and "true" in unit.values()
     assert verdict(2.0**-600) == unit
     assert verdict(2.0**-1070) == unit  # subnormal input
+
+
+# (x, y) = (x, x) = 106 for the last row x against the first y: a Fisher tie
+TIE = [[-954.0, -832.0, 474.0], [0.25, -2.25, -4.25], [0.0, 5.0, 9.0]]
+
+
+@pytest.mark.parametrize("e", [0, -600, 600])
+def test_check_gives_the_library_verdicts_on_a_fisher_tie(tmp_path, capsys, e):
+    # the command checks the points as read; a rescaling of its own rounds
+    # them and turns the exact tie into a separable verdict
+    points = np.ldexp(TIE, e)
+    source = tmp_path / "tie.csv"
+    source.write_text("".join(",".join(map(repr, row)) + "\n" for row in points.tolist()),
+                      encoding="utf-8")
+
+    def check(mode):
+        assert main(["check", "--input", str(source), "--mode", mode]) == EXIT_OK
+        return [dict(field.split("=") for field in line.split())
+                for line in capsys.readouterr().out.splitlines()]
+
+    fisher = fisher_point_vs_set(points[-1], points[:-1])
+    linear = lp_point_vs_set(points[-1], points[:-1])
+    assert fisher.margin == 0.0 and not fisher.separable
+    assert check("point") == [{"kind": "fisher", "separable": "false"},
+                              {"kind": "linear", "separable": str(linear.separable).lower(),
+                               "margin": format(linear.margin, ".17g")}]
+    report = fisher_separable_set(points)
+    assert (report.all_separable, report.first_failure) == (False, 2)
+    fisher_line, linear_line = check("set")
+    assert fisher_line == {"kind": "fisher", "all_separable": "false", "first_failure": "2"}
+    assert linear_line["all_separable"] == str(linearly_separable_set(points).all_separable).lower()
 
 
 def test_check_rejects_ragged_rows(tmp_path, capsys):

@@ -104,7 +104,7 @@ def test_certificates_verify(params):
 @settings(max_examples=75, deadline=None)
 def test_set_report_matches_pointwise_fisher(params):
     cloud = draw_cloud(params)
-    report = fisher_separable_set(cloud)
+    report = fisher_separable_set(cloud.points)
     expected = all(
         fisher_point_vs_set(cloud.points[i], np.delete(cloud.points, i, axis=0)).separable
         for i in range(cloud.n)

@@ -10,7 +10,7 @@ import pytest
 from layersep import dyadic, exact, separability
 from layersep.errors import DomainError, EnumerationLimitError, LPStallError, check_point_set
 from layersep.exact import exact_point_vs_set
-from layersep.geometry import LayerSpec, PointCloud, sample_layer
+from layersep.geometry import LayerSpec, sample_layer
 from layersep.lp import REFACTOR_EVERY, SimplexResult, solve_standard_form
 from layersep.separability import (
     DEFAULT_TOL,
@@ -30,14 +30,13 @@ from layersep.separability import (
 import oracles
 
 
-def cloud_from(points, r=0.0, seed=0):
-    pts = np.asarray(points, dtype=np.float64)
-    return PointCloud(layer=LayerSpec(d=pts.shape[1], r=r), points=pts, seed=seed)
+def cloud_from(points):
+    return np.array(points, dtype=np.float64)
 
 
 def point_and_rest(cloud, i):
     """Point i of the cloud and the set it is checked against: the other points."""
-    return cloud.points[i], np.delete(cloud.points, i, axis=0)
+    return cloud[i], np.delete(cloud, i, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ def test_fisher_set_verdict_only_truncates():
 
 
 def test_fisher_set_matches_per_point_calls():
-    cloud = sample_layer(LayerSpec(d=6, r=0.3), 40, seed=3)
+    cloud = sample_layer(LayerSpec(d=6, r=0.3), 40, seed=3).points
     report = fisher_separable_set(cloud)
     for i, cert in enumerate(report.per_point):
         solo = fisher_point_vs_set(*point_and_rest(cloud, i))
@@ -128,8 +127,8 @@ def test_fisher_point_margin_bit_identical_under_row_permutation():
         d = int(rng.integers(1, 60))
         k = int(rng.integers(1, 40))
         layer = LayerSpec(d=d, r=(0.0, 0.5, 0.9)[trial % 3])
-        cloud = sample_layer(layer, k + 1, seed=int(rng.integers(2**62)))
-        x, others = cloud.points[-1], cloud.points[:-1]
+        cloud = sample_layer(layer, k + 1, seed=int(rng.integers(2**62))).points
+        x, others = cloud[-1], cloud[:-1]
         shuffled = others[rng.permutation(k)]
         base, permuted = fisher_point_vs_set(x, others), fisher_point_vs_set(x, shuffled)
         assert base.verdict == permuted.verdict
@@ -198,8 +197,8 @@ def test_times_two_to_rounds_once_and_keeps_a_positive_sign(value, e, want):
 
 def test_fisher_margins_match_brute_force_across_blocks():
     for n in (1, 2, 3, FISHER_BLOCK - 1, FISHER_BLOCK, FISHER_BLOCK + 1, 2 * FISHER_BLOCK + 7):
-        cloud = sample_layer(LayerSpec(d=7, r=0.2), n, seed=n)
-        pts = cloud.points
+        cloud = sample_layer(LayerSpec(d=7, r=0.2), n, seed=n).points
+        pts = cloud
         gram = pts @ pts.T
         np.fill_diagonal(gram, -np.inf)
         want = np.diag(pts @ pts.T) - gram.max(axis=1) if n > 1 else np.full(1, np.inf)
@@ -235,7 +234,7 @@ def test_fisher_set_flags_equal_point_verdicts_on_ties(make):
     ties = 0
     for _ in range(200):
         cloud = make(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25)))
-        solo = [fisher_point_vs_set(*point_and_rest(cloud, i)) for i in range(cloud.n)]
+        solo = [fisher_point_vs_set(*point_and_rest(cloud, i)) for i in range(len(cloud))]
         ties += sum(c.margin == 0.0 for c in solo)
         report = fisher_separable_set(cloud)
         assert [c.verdict for c in report.per_point] == [c.verdict for c in solo]
@@ -249,10 +248,10 @@ def test_fisher_set_flags_equal_point_verdicts_on_ties(make):
 
 
 def test_fisher_set_early_exit_returns_first_failure():
-    cloud = sample_layer(LayerSpec(d=40, r=0.5), 3 * FISHER_BLOCK, seed=11)
+    cloud = sample_layer(LayerSpec(d=40, r=0.5), 3 * FISHER_BLOCK, seed=11).points
     assert fisher_separable_set(cloud, verdict_only=True).all_separable
     for first in (0, FISHER_BLOCK - 1, FISHER_BLOCK, 2 * FISHER_BLOCK + 5, 3 * FISHER_BLOCK - 1):
-        pts = cloud.points.copy()
+        pts = cloud.copy()
         # a shadowed point X next to 2X has (X, 2X) = 2 (X, X) > (X, X)
         for i in (first, first + 3):
             if i < len(pts):
@@ -310,7 +309,7 @@ def test_fisher_flags_threads_share_no_gram_block():
 def eager_fisher_set(cloud, verdict_only):
     """Per-point certificates built eagerly, point by point, as the set check
     did before its certificates were built on demand."""
-    margins = fisher_margins(cloud.points)
+    margins = fisher_margins(cloud)
     certs = []
     for i, margin in enumerate(margins):
         ok = bool(margin > 0.0)
@@ -319,7 +318,7 @@ def eager_fisher_set(cloud, verdict_only):
                 "separable" if ok else "not_separable",
                 "fisher",
                 float(margin),
-                hyperplane=cloud.points[i].copy() if ok else None,
+                hyperplane=cloud[i].copy() if ok else None,
             )
         )
         if verdict_only and not ok:
@@ -349,17 +348,17 @@ def eager_perceptron(points, i, tol=DEFAULT_TOL):
 def eager_linear_set(cloud, verdict_only):
     """Per-point certificates of the Fisher, perceptron, simplex cascade, built
     eagerly, point by point."""
-    margins = fisher_margins(cloud.points)
+    margins = fisher_margins(cloud)
     certs = []
     for i, margin in enumerate(margins):
         if margin > 0.0:
             certs.append(
                 SeparabilityCertificate(
-                    "separable", "fisher", float(margin), hyperplane=cloud.points[i].copy()
+                    "separable", "fisher", float(margin), hyperplane=cloud[i].copy()
                 )
             )
             continue
-        cert = eager_perceptron(cloud.points, i) or lp_point_vs_set(*point_and_rest(cloud, i))
+        cert = eager_perceptron(cloud, i) or lp_point_vs_set(*point_and_rest(cloud, i))
         certs.append(cert)
         if verdict_only and not cert.separable:
             break
@@ -384,9 +383,9 @@ def test_lazy_per_point_matches_eager_certificates(verdict_only):
         cloud_from([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
         cloud_from([[0.5, 0.0], [1.0, 0.0]]),
         cloud_from([[0.1, 0.0]]),
-        sample_layer(LayerSpec(d=2, r=0.0), 30, seed=5),
-        sample_layer(LayerSpec(d=3, r=0.9), 40, seed=6),
-        sample_layer(LayerSpec(d=25, r=0.0), 60, seed=9),
+        sample_layer(LayerSpec(d=2, r=0.0), 30, seed=5).points,
+        sample_layer(LayerSpec(d=3, r=0.9), 40, seed=6).points,
+        sample_layer(LayerSpec(d=25, r=0.0), 60, seed=9).points,
     ]
     for cloud in clouds:
         fisher = fisher_separable_set(cloud, verdict_only=verdict_only)
@@ -410,7 +409,7 @@ def test_lazy_per_point_matches_eager_certificates(verdict_only):
 def test_set_checks_compute_float64_margins_only_when_read(monkeypatch, check):
     # the set checks need only each margin's sign, which the float32 pass
     # decides; a margin's float64 value is computed when a caller reads it
-    cloud = sample_layer(LayerSpec(d=40, r=0.5), 1000, seed=13)
+    cloud = sample_layer(LayerSpec(d=40, r=0.5), 1000, seed=13).points
     calls = []
     point_margin = separability._point_margin
 
@@ -420,10 +419,10 @@ def test_set_checks_compute_float64_margins_only_when_read(monkeypatch, check):
 
     monkeypatch.setattr(separability, "_point_margin", counted)
     report = check(cloud)
-    assert report.all_separable and len(report.flags) == cloud.n
+    assert report.all_separable and len(report.flags) == len(cloud)
     assert calls == []
     certs = report.per_point
-    assert len(calls) == cloud.n
+    assert len(calls) == len(cloud)
     assert report.margins.tolist() == [cert.margin for cert in certs]
     for i, cert in enumerate(certs):
         assert cert.method == "fisher"
@@ -463,7 +462,7 @@ def scaled_down_cloud(rng, d, n):
     # 2**-600 leaves the float64 products below the normal range, so the point
     # check's margins are rounding noise: the float32 pass must not decide them
     make = (near_tie_cloud, dyadic_cloud)[int(rng.integers(2))]
-    return cloud_from(make(rng, d, n).points * 2.0**-600)
+    return cloud_from(make(rng, d, n) * 2.0**-600)
 
 
 def assert_same_floats(got, want):
@@ -471,7 +470,7 @@ def assert_same_floats(got, want):
 
 
 def assert_reports_equal_point_checks(cloud):
-    solo = [fisher_point_vs_set(*point_and_rest(cloud, i)) for i in range(cloud.n)]
+    solo = [fisher_point_vs_set(*point_and_rest(cloud, i)) for i in range(len(cloud))]
     for verdict_only in (False, True):
         for report in (check(cloud, verdict_only=verdict_only)
                        for check in (fisher_separable_set, linearly_separable_set)):
@@ -499,7 +498,7 @@ def test_set_report_margins_equal_point_margins(make):
 
 def test_set_report_overrules_a_wrong_float32_sign():
     cloud = cloud_from(WRONG_FLOAT32_SIGN)
-    rows = cloud.points.astype(np.float32)
+    rows = cloud.astype(np.float32)
     gram = rows @ rows.T
     assert gram[0, 0] - gram[0, 1] > 0.0
     assert not fisher_point_vs_set(*point_and_rest(cloud, 0)).separable
@@ -516,7 +515,7 @@ def test_fisher_flags_equal_point_verdicts_where_float64_overflows():
     rng = np.random.default_rng(17)
     for make in (near_tie_cloud, dyadic_cloud):
         for _ in range(20):
-            pts = make(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25))).points * 2.0**600
+            pts = make(rng, int(rng.integers(2, 9)), int(rng.integers(2, 25))) * 2.0**600
             solo = [fisher_point_vs_set(pts[i], np.delete(pts, i, axis=0))
                     for i in range(len(pts))]
             assert fisher_flags(pts).tolist() == [c.separable for c in solo]
@@ -545,7 +544,7 @@ def test_lp_two_distinct_points_separable():
     assert cert.verdict == "separable"
     assert cert.method == "lp"
     assert cert.hyperplane is not None
-    assert verify_certificate(cert, cloud.points[0], cloud.points[1:])
+    assert verify_certificate(cert, cloud[0], cloud[1:])
 
 
 def test_lp_midpoint_of_segment():
@@ -554,7 +553,7 @@ def test_lp_midpoint_of_segment():
     assert cert.verdict == "not_separable"
     assert cert.coefficients == pytest.approx([0.5, 0.5], abs=1e-9)
     others = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    assert verify_certificate(cert, cloud.points[1], others)
+    assert verify_certificate(cert, cloud[1], others)
 
 
 def test_lp_duplicate_point_not_separable():
@@ -654,7 +653,7 @@ def test_fisher_decides_the_triangle_at_extreme_scales(e, margin):
 def test_lp_tol_validation():
     cloud = cloud_from([[0.5, 0.0], [1.0, 0.0]])
     with pytest.raises(DomainError):
-        lp_point_vs_set(cloud.points[0], cloud.points[1:], tol=0.0)
+        lp_point_vs_set(cloud[0], cloud[1:], tol=0.0)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -708,7 +707,7 @@ def test_lp_set_verdict_only_early_exit():
 
 
 def test_lp_set_fisher_prescreen_method_labels():
-    cloud = sample_layer(LayerSpec(d=25, r=0.0), 60, seed=9)
+    cloud = sample_layer(LayerSpec(d=25, r=0.0), 60, seed=9).points
     report = linearly_separable_set(cloud)
     fisher_certs = [c for c in report.per_point if c.method == "fisher"]
     lp_certs = [c for c in report.per_point if c.method == "lp"]
@@ -720,13 +719,26 @@ def test_lp_set_fisher_prescreen_method_labels():
     assert all(c.separable for c in fisher_certs)
 
 
+@pytest.mark.parametrize("e", [-600, 600])
+def test_linear_set_check_decides_a_scaled_set_as_at_unit_scale(e):
+    # the perceptron stage runs on the set times 2**-e: on the set as given its
+    # products underflow at 2**-600, so it certified nothing and every open row
+    # went to the simplex, and they overflow at 2**600
+    points = sample_layer(LayerSpec(d=10, r=0.8), 1000, seed=16).points
+    unit, scaled = linearly_separable_set(points), linearly_separable_set(np.ldexp(points, e))
+    assert scaled.flags.tolist() == unit.flags.tolist()
+    methods = [(i, c.verdict, c.method) for i, c in sorted(unit.lp_certificates.items())]
+    assert [(i, c.verdict, c.method) for i, c in sorted(scaled.lp_certificates.items())] == methods
+    assert sum(method == "perceptron" for *_, method in methods) > 20
+
+
 def set_lp_clouds(count):
     # shaped like the set_lp benchmark: n=1000, d 8-12, r 0.8/0.9, where the
     # Fisher test leaves a few dozen points of each cloud open
     rng = np.random.default_rng(12)
     for t in range(count):
         layer = LayerSpec(d=int(rng.integers(8, 13)), r=(0.8, 0.9)[t % 2])
-        yield sample_layer(layer, 1000, seed=int(rng.integers(2**62)))
+        yield sample_layer(layer, 1000, seed=int(rng.integers(2**62))).points
 
 
 def tie_clouds():
@@ -749,14 +761,14 @@ def test_perceptron_certificates_are_sound():
             assert checked.lp_calls + checked.lp_skipped_by_fisher == len(checked.per_point)
             assert checked.simplex_runs <= checked.lp_calls
             assert checked.simplex_runs == sum(c.method == "lp" for c in checked.per_point)
-        if cloud.n == 1000:
+        if len(cloud) == 1000:
             set_lp_open += report.lp_calls
             set_lp_simplex += report.simplex_runs
         for i, cert in report.lp_certificates.items():
             if cert.method != "perceptron":
                 continue
-            stage.add(cloud.n)
-            x, others = cloud.points[i], np.delete(cloud.points, i, axis=0)
+            stage.add(len(cloud))
+            x, others = cloud[i], np.delete(cloud, i, axis=0)
             assert cert.separable
             assert verify_certificate(cert, x, others)
             assert lp_point_vs_set(x, others).separable
@@ -785,8 +797,8 @@ def test_perceptron_stage_needs_its_rounding_band(monkeypatch):
         report = linearly_separable_set(cloud, tol=1e-300)
         for i, cert in report.lp_certificates.items():
             if cert.method == "perceptron":
-                others = np.delete(cloud.points, i, axis=0)
-                assert oracles.exact_hyperplane_separates(cloud.points[i], others, cert.hyperplane)
+                others = np.delete(cloud, i, axis=0)
+                assert oracles.exact_hyperplane_separates(cloud[i], others, cert.hyperplane)
                 certified += 1
     assert certified > 0
 
@@ -814,8 +826,8 @@ def test_exact_oracle_triangle_barycentric():
 
 
 def test_exact_oracle_agrees_with_lp_small_random():
-    cloud = sample_layer(LayerSpec(d=3, r=0.0), 12, seed=42)
-    for i in range(cloud.n):
+    cloud = sample_layer(LayerSpec(d=3, r=0.0), 12, seed=42).points
+    for i in range(len(cloud)):
         lp_cert = lp_point_vs_set(*point_and_rest(cloud, i))
         oracle_cert = exact_point_vs_set(*point_and_rest(cloud, i))
         assert lp_cert.verdict == oracle_cert.verdict, f"disagreement at point {i}"
@@ -833,7 +845,7 @@ def test_exact_oracle_duplicate_point():
 
 
 def test_exact_oracle_size_guard():
-    cloud = sample_layer(LayerSpec(d=6, r=0.0), 64, seed=1)
+    cloud = sample_layer(LayerSpec(d=6, r=0.0), 64, seed=1).points
     with pytest.raises(EnumerationLimitError):
         exact_point_vs_set(*point_and_rest(cloud, 0))
 
@@ -1135,8 +1147,8 @@ def simplex_pin_instances():
     ties), and the rows the Fisher test leaves open in two n=1000 set clouds."""
     yield from criterion_2_shaped_queries(count=200, seed=83)
     for cloud in tie_clouds():
-        for i in range(cloud.n):
-            yield cloud.points[i], np.delete(cloud.points, i, axis=0)
+        for i in range(len(cloud)):
+            yield cloud[i], np.delete(cloud, i, axis=0)
     for seed in (16, 17):
         points = sample_layer(LayerSpec(d=10, r=0.9), 1000, seed=seed).points
         for i in np.flatnonzero(~fisher_flags(points)).tolist():
@@ -1172,7 +1184,8 @@ def test_simplex_results_and_certificates_pinned(monkeypatch):
         except LPStallError:
             digest.update(b"stall\n")
     for seed in (16, 17):
-        report = linearly_separable_set(sample_layer(LayerSpec(d=10, r=0.9), 1000, seed=seed))
+        points = sample_layer(LayerSpec(d=10, r=0.9), 1000, seed=seed).points
+        report = linearly_separable_set(points)
         for i, cert in sorted(report.lp_certificates.items()):
             digest.update(repr(i).encode() + certificate_bytes(cert) + b"\n")
     assert digest.hexdigest() == PINNED_SIMPLEX_DIGEST
@@ -1199,7 +1212,7 @@ def test_long_simplex_solves_pinned(monkeypatch):
     monkeypatch.setattr(separability, "solve_standard_form", recorded)
     for d in (13, 14):
         for seed in (0, 1):
-            report = linearly_separable_set(sample_layer(LayerSpec(d, 0.5), 1000, seed))
+            report = linearly_separable_set(sample_layer(LayerSpec(d, 0.5), 1000, seed).points)
             for i, cert in sorted(report.lp_certificates.items()):
                 digest.update(repr(i).encode() + certificate_bytes(cert) + b"\n")
     assert max(pivots) > REFACTOR_EVERY
@@ -1222,7 +1235,7 @@ def test_simplex_pin_verdicts_pinned():
         digest.update(verdict.encode() + b"\n")
     for d, r, seeds in ((10, 0.9, (16, 17)), (13, 0.5, (0, 1)), (14, 0.5, (0, 1))):
         for seed in seeds:
-            report = linearly_separable_set(sample_layer(LayerSpec(d, r), 1000, seed))
+            report = linearly_separable_set(sample_layer(LayerSpec(d, r), 1000, seed).points)
             for i, cert in sorted(report.lp_certificates.items()):
                 digest.update(repr((i, cert.verdict, cert.method)).encode() + b"\n")
     assert digest.hexdigest() == PINNED_VERDICT_DIGEST
@@ -1311,11 +1324,11 @@ def test_certificates_recheck_on_random_clouds():
     for trial in range(20):
         d = int(rng.integers(2, 8))
         n = int(rng.integers(2, 30))
-        cloud = sample_layer(LayerSpec(d=d, r=0.5), n, seed=int(rng.integers(1 << 30)))
+        cloud = sample_layer(LayerSpec(d=d, r=0.5), n, seed=int(rng.integers(1 << 30))).points
         report = linearly_separable_set(cloud)
         for i, cert in enumerate(report.per_point):
-            others = np.delete(cloud.points, i, axis=0)
-            assert verify_certificate(cert, cloud.points[i], others), (
+            others = np.delete(cloud, i, axis=0)
+            assert verify_certificate(cert, cloud[i], others), (
                 f"certificate failed re-check: trial={trial} i={i} {cert.method}"
             )
 
@@ -1327,12 +1340,43 @@ def test_near_tie_lp_certificates_recheck():
     # certificate rebuild x, on the near-tie and on the dyadic clouds
     separable = 0
     for n, cloud in enumerate(tie_clouds()):
-        for i in range(cloud.n):
-            x, others = cloud.points[i], np.delete(cloud.points, i, axis=0)
+        for i in range(len(cloud)):
+            x, others = cloud[i], np.delete(cloud, i, axis=0)
             cert = lp_point_vs_set(x, others)
             separable += cert.separable
             assert verify_certificate(cert, x, others), (n, i)
     assert separable > 1000
+
+
+@pytest.mark.parametrize("e", [-600, -30, 27, 60, 500])
+def test_recheck_accepts_the_coefficients_of_a_scaled_program(e):
+    # the LP decides x and the set times 2**-e, and the re-check rebuilds x in
+    # those units; an absolute 10 * tol on the input as given once rejected
+    # correct coefficients from 2**27 up
+    rechecked = 0
+    for x, others in simplex_pin_instances():
+        try:
+            if lp_point_vs_set(x, others).separable:
+                continue
+        except LPStallError:
+            continue
+        x, others = np.ldexp(x, e), np.ldexp(others, e)
+        cert = lp_point_vs_set(x, others)
+        assert not cert.separable and verify_certificate(cert, x, others), rechecked
+        rechecked += 1
+        if rechecked == 60:
+            break
+    assert rechecked == 60
+
+
+@pytest.mark.parametrize("e", [0, -30, -600])
+def test_recheck_rejects_coefficients_that_rebuild_another_point(e):
+    # (1, 0, 0) rebuilds the vertex (1, 0), not x = (0.125, 0.25); at 2**-30
+    # the two lie within an absolute 10 * tol, which once let them pass
+    triangle, x = np.ldexp(TRIANGLE, e), np.ldexp([0.125, 0.25], e)
+    wrong = SeparabilityCertificate("not_separable", "lp", 0.0, coefficients=np.eye(3)[0])
+    assert not verify_certificate(wrong, x, triangle)
+    assert verify_certificate(lp_point_vs_set(x, triangle), x, triangle)
 
 
 @pytest.mark.parametrize("flip", [False, True])
@@ -1349,13 +1393,13 @@ def test_recheck_decides_gaps_inside_the_band_exactly(flip):
 def test_separable_hyperplane_exact_recheck():
     # every separating hyperplane must hold in exact rational arithmetic;
     # every hull verdict must match the enumeration oracle
-    cloud = sample_layer(LayerSpec(d=4, r=0.9), 25, seed=8)
+    cloud = sample_layer(LayerSpec(d=4, r=0.9), 25, seed=8).points
     report = linearly_separable_set(cloud)
-    assert report.lp_calls + report.lp_skipped_by_fisher == cloud.n
+    assert report.lp_calls + report.lp_skipped_by_fisher == len(cloud)
     for i, cert in enumerate(report.per_point):
-        others = np.delete(cloud.points, i, axis=0)
+        others = np.delete(cloud, i, axis=0)
         if cert.separable:
             assert cert.hyperplane is not None
-            assert oracles.exact_hyperplane_separates(cloud.points[i], others, cert.hyperplane)
+            assert oracles.exact_hyperplane_separates(cloud[i], others, cert.hyperplane)
         else:
             assert exact_point_vs_set(*point_and_rest(cloud, i)).verdict == "not_separable"

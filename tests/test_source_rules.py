@@ -21,7 +21,7 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-VALIDATOR_MODULE = "errors.py"  # home of check_int and check_real
+VALIDATOR_MODULE = "errors.py"  # home of check_int, check_real and check_points
 
 
 def _is_hand_written_int_check(node) -> bool:
@@ -47,6 +47,30 @@ def test_integer_checks_only_in_the_validator():
         if _is_hand_written_int_check(node)
     ]
     assert not found, f"integer checks outside {VALIDATOR_MODULE}: {found}"
+
+
+def _compares_ndim(node) -> bool:
+    # a.ndim != 2 and the like: a hand-written shape check of an input array
+    return isinstance(node, ast.Compare) and any(
+        isinstance(part, ast.Attribute) and part.attr == "ndim"
+        for part in (node.left, *node.comparators)
+    )
+
+
+def test_shape_checks_only_in_the_validator():
+    # one validator per parameter kind: errors.check_points checks that a set
+    # of points is (n, d), and check_point_set that a point fits its set; a
+    # copy elsewhere could let another shape through, as the set checks did
+    # when they relied on a PointCloud for it
+    sources = sorted(path for path in PACKAGE.glob("*.py") if path.name != VALIDATOR_MODULE)
+    assert sources, f"no sources under {PACKAGE}"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _compares_ndim(node)
+    ]
+    assert not found, f"ndim comparisons outside {VALIDATOR_MODULE}: {found}"
 
 
 def test_array_finiteness_only_in_the_helper():
@@ -113,9 +137,10 @@ def test_the_simplex_validates_no_input():
 
 
 def test_the_separability_checks_raise_no_domain_error_of_their_own():
-    # outside input is checked by errors.check_point_set and check_real; the
-    # checks decide x and the set times 2**-e, so no finite input can overflow
-    # the hull program, and no scale needs a rejection of its own
+    # outside input is checked by errors.check_points (a set), check_point_set
+    # (a point and a set) and check_real; the checks decide x and the set times
+    # 2**-e, so no finite input can overflow the hull program, and no scale
+    # needs a rejection of its own
     path = PACKAGE / "separability.py"
     found = [f"line {node.lineno}"
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
@@ -161,8 +186,9 @@ def _builds_unchecked_cloud(node) -> bool:
 
 
 def test_only_the_sampler_builds_unchecked_clouds():
-    # outside data must go through PointCloud's checks: a cloud built around
-    # them could hold NaN or points off the shell
+    # outside data must go through PointCloud's checks (errors.check_points,
+    # then the dimension and the shell): a cloud built around them could hold
+    # NaN or points off the shell
     roots = (PACKAGE, PACKAGE.parents[1] / "tests", PACKAGE.parents[1] / "perfbench")
     sources = sorted(path for root in roots for path in root.glob("*.py")
                      if path != PACKAGE / SAMPLER_MODULE)

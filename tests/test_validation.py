@@ -10,9 +10,15 @@ from layersep.asymptotics import fisher_gap_exact
 from layersep.bounds import BoundQuery
 from layersep.cli import EXIT_DOMAIN, main
 from layersep.dyadic import peak
-from layersep.errors import DomainError, check_int, check_point_set, check_real
+from layersep.errors import DomainError, check_int, check_point_set, check_points, check_real
 from layersep.experiments import ExperimentPlan
 from layersep.geometry import LayerSpec, PointCloud
+from layersep.separability import (
+    fisher_flags,
+    fisher_margins,
+    fisher_separable_set,
+    linearly_separable_set,
+)
 
 PLAN = dict(mode="point_level", d_values=(3,), r_values=(0.5,), n=10, trials=2, master_seed=1)
 
@@ -75,6 +81,15 @@ def spoiled(a, where, bad):
     return a
 
 
+def cloud_of(points):
+    return PointCloud(layer=LayerSpec(d=3, r=0.0), points=points, seed=0)
+
+
+# every entry point that takes a set of points on its own, each through check_points
+SET_CHECKS = [check_points, cloud_of, fisher_flags, fisher_margins, fisher_separable_set,
+              linearly_separable_set]
+
+
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
 def test_every_finiteness_check_rejects_a_non_finite_coordinate(bad, where, tmp_path, capsys):
@@ -86,12 +101,24 @@ def test_every_finiteness_check_rejects_a_non_finite_coordinate(bad, where, tmp_
         check_point_set(FINITE_SET[0], points)
     with pytest.raises(DomainError, match="finite coordinates"):
         check_point_set(x, FINITE_SET)
-    with pytest.raises(DomainError, match="points must be finite"):
-        PointCloud(layer=LayerSpec(d=3, r=0.0), points=points, seed=0)
+    for check in SET_CHECKS:
+        with pytest.raises(DomainError, match="finite coordinates"):
+            check(points)
     source = tmp_path / "pts.csv"
     source.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in points))
-    assert main(["check", "--input", str(source), "--mode", "set"]) == EXIT_DOMAIN
-    assert "input points must be finite" in capsys.readouterr().err
+    for mode in ("set", "point"):
+        assert main(["check", "--input", str(source), "--mode", mode]) == EXIT_DOMAIN
+        assert "finite coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [FINITE_SET.ravel(), FINITE_SET[None], np.float64(0.5)],
+                         ids=["1-d", "3-d", "0-d"])
+def test_every_set_check_rejects_an_array_that_is_not_2_d(points):
+    for check in SET_CHECKS:
+        with pytest.raises(DomainError, match=r"shape \(n, d\)"):
+            check(points)
+    with pytest.raises(DomainError, match=r"shape \(n, d\)"):
+        check_point_set(FINITE_SET[0], points)
 
 
 def test_finiteness_of_empty_sets():
