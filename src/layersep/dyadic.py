@@ -1,20 +1,19 @@
 """Floats as exact integers: every finite float is a dyadic rational.
 
-Scaling by a power of two is exact.  ``scale_exponent`` (``split_peak`` of a
-peak), the one exponent helper, gives the e for which ``2**-e`` brings ``peak``
-into [0.5, 1).  Every finite float is an integer of at most 53 bits times a
-power of two, ``v = m * 2**(e - 53)`` with ``(m, e)`` as ``math.frexp`` gives
-them and m scaled by ``2**53``.  So one common factor ``2**s`` with
-``s = max(53 - e)`` over the nonzero entries makes every entry an exact Python
-int, with no float rounding or overflow on the way, and the smallest of them is
-no wider than 53 bits.  Sums and products of the scaled entries are then
-exact, so the exact hull oracle and the certificate re-check decide "a
-hyperplane separates" with no tolerance, by the one sign test here,
-``gaps_positive_exactly`` or its integer core.  The
-oracle decides "X is in the hull" with the one membership test,
-``barycentric_if_inside``: fraction-free Gaussian elimination (Bareiss 1968),
-whose step t replaces every entry below and to the right of the pivot ``a_tt``
-by ``(a_tt a_ij - a_it a_tj) / p``, with p the previous pivot.  By Sylvester's
+Scaling by a power of two is exact.  ``split_peak``, the one exponent helper,
+gives the e for which ``2**-e`` brings a peak into [0.5, 1).  Every finite float
+is an integer of at most 53 bits times a power of two, ``v = m * 2**(e - 53)``
+with ``(m, e)`` as ``math.frexp`` gives them and m scaled by ``2**53``.  So one
+common factor ``2**s`` with ``s = max(53 - e)`` over the nonzero entries makes
+every entry an exact Python int, with no float rounding or overflow on the way,
+and the smallest of them is no wider than 53 bits.  Sums and products of the
+scaled entries are then exact, so the exact hull oracle and the certificate
+re-check decide "a hyperplane separates" with no tolerance, by the one sign
+test here, ``gaps_positive_exactly`` or its integer core.  The oracle decides
+"X is in the hull" with the one membership test, ``barycentric_if_inside``:
+fraction-free Gaussian elimination (Bareiss 1968), whose step t replaces every
+entry below and to the right of the pivot ``a_tt`` by
+``(a_tt a_ij - a_it a_tj) / p``, with p the previous pivot.  By Sylvester's
 determinant identity each result is a (t+1) x (t+1) minor of the row-permuted
 input, an integer, so every division is exact and the numbers stay as large as
 a determinant, not as a product of them.  The last pivot is the determinant
@@ -29,7 +28,7 @@ import math
 from operator import mul, sub
 
 __all__ = ["barycentric_if_inside", "gaps_positive_exactly", "integer_gaps_positive", "peak",
-           "scale_exponent", "scaled_to_integers", "split_peak", "times_two_to"]
+           "scaled_to_integers", "split_peak", "times_two_to"]
 
 
 def peak(*arrays) -> float:
@@ -42,11 +41,6 @@ def peak(*arrays) -> float:
 def split_peak(top: float) -> tuple[float, int]:
     """A peak as ``(top * 2**-e, e)``, the first in [0.5, 1), or (0.0, 0) for 0."""
     return math.frexp(top)
-
-
-def scale_exponent(*arrays) -> int:
-    """The e that puts ``peak(*arrays) * 2**-e`` in [0.5, 1), or 0 for no nonzero entry."""
-    return split_peak(peak(*arrays))[1]
 
 
 def times_two_to(e: int, value: float) -> float:

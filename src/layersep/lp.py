@@ -19,10 +19,11 @@ cannot cycle.  The leaving row is always the lowest basis index among
 ratio-test ties.  A pivot cap turns numerical pathology into a loud
 :class:`LPStallError` instead of a wrong answer.
 
-Steps over the n columns run in NumPy.  The ratio test, over m entries, runs
+Steps over the n columns run in NumPy.  The ratio test, over m entries, and
+pricing's pick among at most ``PICK_ON_FLOATS`` columns (``first_extreme``) run
 on Python floats: there NumPy's per-call cost and the GIL it may hand to
-another thread at each call outweigh the arithmetic.  It does the same float
-operations in the same order, so every pivot and result is bit-identical.
+another thread at each call (``argmin`` does at every call) outweigh the
+arithmetic.  Both keep every float operation, so every pivot is bit-identical.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from .errors import LPStallError
 PIVOT_TOL = 1e-11
 # eta updates between two refactorizations of the basis inverse
 REFACTOR_EVERY = 32
+PICK_ON_FLOATS = 32  # first_extreme searches arrays up to this size on Python floats
 
-__all__ = ["SimplexResult", "solve_standard_form", "PIVOT_TOL"]
+__all__ = ["SimplexResult", "first_extreme", "solve_standard_form", "PICK_ON_FLOATS", "PIVOT_TOL"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,16 @@ class SimplexResult:
     duals: np.ndarray
     objective: float
     pivots: int
+
+
+def first_extreme(pick, values) -> tuple:
+    """``(i, values[i])``, the entry as a Python scalar, with i the index ``np.argmin``
+    (pick=min) or ``np.argmax`` (pick=max) gives for a 1-d array with no NaN."""
+    if len(values) > PICK_ON_FLOATS:
+        i = int(values.argmin() if pick is min else values.argmax())
+        return i, values[i].item()
+    extreme = pick(listed := values.tolist())  # the first of equal extremes, as in NumPy
+    return listed.index(extreme), extreme
 
 
 def solve_standard_form(c, A, b, max_pivots: int, basis) -> SimplexResult:
@@ -96,9 +108,8 @@ def solve_standard_form(c, A, b, max_pivots: int, basis) -> SimplexResult:
             candidates = np.flatnonzero(reduced < -PIVOT_TOL)
             q = int(candidates[0]) if candidates.size else -1
         else:
-            q = int(reduced.argmin())
-            if reduced[q] >= -PIVOT_TOL:
-                q = -1
+            q, low = first_extreme(min, reduced)
+            q = q if low < -PIVOT_TOL else -1
         if q < 0:
             if etas == 0:
                 break

@@ -51,7 +51,7 @@ import numpy as np
 
 from .dyadic import gaps_positive_exactly, peak, split_peak, times_two_to
 from .errors import LPStallError, check_point_set, check_points, check_real
-from .lp import solve_standard_form
+from .lp import first_extreme, solve_standard_form
 
 __all__ = [
     "DEFAULT_TOL",
@@ -288,7 +288,7 @@ def fisher_separable_set(points, verdict_only: bool = False) -> SetReport:
     """
     flags = fisher_flags(points, stop_at_failure=verdict_only)  # checks the points
     points = np.asarray(points, dtype=np.float64)
-    first_failure = None if flags.all() else int(flags.argmin())
+    first_failure = None if flags.all() else first_extreme(min, flags)[0]
     if verdict_only and first_failure is not None:
         flags = flags[: first_failure + 1]
     return SetReport(first_failure is None, first_failure, flags, points)
@@ -336,7 +336,7 @@ def lp_point_vs_set(
     # crash basis: lam_j = 1 for the point with the largest (x, y_j - x), and
     # u_i or v_i carries |x - y_j|_i by its sign.  B = [[y_j - x, diag(+-1)],
     # [1, 0]] has determinant +-1 and B^-1 b = (1, |x - y_j|) >= 0.
-    j = int((x @ diff).argmax())
+    j, _ = first_extreme(max, x @ diff)
     crash = [j] + [k + i if v <= 0.0 else k + d + i for i, v in enumerate(diff[:, j].tolist())]
     # pivot budget: the cloud has n = k + 1 points, cap = 50 * (n + d)
     result = solve_standard_form(c, A, b, max_pivots=50 * (k + 1 + d), basis=crash)
@@ -379,8 +379,8 @@ def _perceptron_certificate(
         products = points @ normal
         top = products[i].item()
         products[i] = -np.inf
-        j = int(products.argmax())
-        gap = top - products[j].item()
+        j, highest = first_extreme(max, products)
+        gap = top - highest
         if gap > 0.0:  # the bound is positive, so no other gap can pass
             a_peak = max(map(abs, a))
             if gap > gap_error_bound(len(x), a_peak, x_peak, points_peak) + tol_eff * a_peak:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from layersep.errors import LPStallError
-from layersep.lp import solve_standard_form
+from layersep.lp import PICK_ON_FLOATS, first_extreme, solve_standard_form
 
 
 def test_simple_equality_lp():
@@ -83,3 +83,46 @@ def test_solve_leaves_its_inputs_alone(basis):
     assert res.pivots > 0
     for before, after in zip(inputs, (c, A, b, basis)):
         assert np.array_equal(before, after)
+
+
+class _NoNumPyPick(np.ndarray):
+    def argmin(self, *args, **kwargs):
+        raise AssertionError("argmin called on a small array")
+
+    argmax = argmin
+
+
+def _pick_inputs(size, rng):
+    # random floats; forced ties of the extremes and of other entries; signed
+    # zeros as the least, the greatest and every entry; bools
+    values = rng.standard_normal(size)
+    yield values
+    for extreme in (values.min(), values.max(), values[0]):
+        tied = values.copy()
+        tied[rng.integers(size, size=max(1, size // 4))] = extreme
+        yield tied
+    zeros = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+    yield zeros
+    for sign in (1.0, -1.0):
+        signed = sign * np.abs(values)
+        signed[rng.integers(size, size=max(1, size // 3))] = zeros[: max(1, size // 3)]
+        yield signed
+    for share in (0.0, 0.5, 1.0):
+        yield rng.random(size) < share
+
+
+@pytest.mark.parametrize("size", [1, PICK_ON_FLOATS, PICK_ON_FLOATS + 1, 1019])
+@pytest.mark.parametrize("pick, numpy_pick", [(min, np.argmin), (max, np.argmax)])
+def test_first_extreme_is_numpys_first_index(size, pick, numpy_pick):
+    # the first of equal extremes, -0.0 and 0.0 being equal, on either path;
+    # up to PICK_ON_FLOATS entries the pick never reaches NumPy's argmin/argmax
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        for values in _pick_inputs(size, rng):
+            want = int(numpy_pick(values))
+            if size <= PICK_ON_FLOATS:
+                values = values.view(_NoNumPyPick)
+            i, extreme = first_extreme(pick, values)
+            assert (type(i), i) == (int, want), values
+            assert type(extreme) is type(values[want].item())
+            assert np.array(extreme).tobytes() == np.asarray(values)[want].tobytes()

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -167,7 +168,7 @@ def test_peak_and_exponent_of_several_arrays(arrays):
     arrays = [np.array(values, dtype=np.float64) for values in arrays]
     want = np.abs(np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)])).max(initial=0.0)
     assert np.float64(dyadic.peak(*arrays)).tobytes() == want.tobytes()
-    assert dyadic.scale_exponent(*arrays) == math.frexp(float(want))[1]
+    assert dyadic.split_peak(dyadic.peak(*arrays))[1] == math.frexp(float(want))[1]
 
 
 @pytest.mark.parametrize("x, others", [
@@ -181,7 +182,6 @@ def test_point_set_check_returns_the_peak(x, others):
     want = dyadic.peak(x, others)
     assert np.float64(math.ldexp(top, e)).tobytes() == np.float64(want).tobytes()
     assert (top, e) == dyadic.split_peak(want) == math.frexp(want)
-    assert e == dyadic.scale_exponent(x, others)
 
 
 @pytest.mark.parametrize("value, e, want", [
@@ -1006,7 +1006,7 @@ def test_oracle_exponent_and_integer_sign_test_match_dyadic(monkeypatch):
         seen.clear()
         if len(others):
             exact_point_vs_set(x, others)
-            e = dyadic.scale_exponent(x, others)
+            e = dyadic.split_peak(dyadic.peak(x, others))[1]
             assert seen == [(np.ldexp(x, -e).tolist(), np.ldexp(others, -e).tolist())], (x, others)
         xs, *ys = dyadic.scaled_to_integers([x.tolist(), *others.tolist()])
         for normal in (x, rng.standard_normal(len(x)), x - others[:1].sum(axis=0)):
@@ -1239,6 +1239,18 @@ def test_simplex_pin_verdicts_pinned():
             for i, cert in sorted(report.lp_certificates.items()):
                 digest.update(repr((i, cert.verdict, cert.method)).encode() + b"\n")
     assert digest.hexdigest() == PINNED_VERDICT_DIGEST
+
+
+def test_threaded_lp_certificates_equal_the_serial_ones():
+    # the tiny hull LPs of criterion 2 pick on Python floats, which hold the
+    # GIL; two threads deciding them side by side must give every byte of the
+    # serial certificates (the test asserts no timing)
+    queries = list(criterion_2_shaped_queries(count=200, seed=83))
+    certs = [lp_point_vs_set(x, others) for x, others in queries]
+    assert {cert.verdict for cert in certs} == {"separable", "not_separable"}
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda q: certificate_bytes(lp_point_vs_set(*q)), queries))
+    assert threaded == [certificate_bytes(cert) for cert in certs]
 
 
 def test_lp_nonseparating_normal_is_a_diagnostic(monkeypatch):

@@ -136,6 +136,26 @@ def test_the_simplex_validates_no_input():
     assert not found, f"lp.py validates input: {found}"
 
 
+PICK_HELPER = "first_extreme"  # lp's one argmin/argmax, on Python floats for small arrays
+
+
+def test_argmin_and_argmax_only_in_the_pick_helper():
+    # NumPy's argmin and argmax hand the GIL to another thread on every call,
+    # whatever the size: on a 13-entry array two threads ran either at 0.24-0.70
+    # of one thread's rate (five runs on a 2-core host), where lp.first_extreme's
+    # Python-float path, which holds the GIL, kept a median 0.98 (seven runs);
+    # the tiny hull LPs of criterion 2 make several such picks each
+    found = []
+    for name in ("lp.py", "separability.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        helper = {id(node) for top in tree.body if getattr(top, "name", None) == PICK_HELPER
+                  for node in ast.walk(top)}
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("argmin", "argmax")
+                  and id(node) not in helper]
+    assert not found, f"argmin/argmax outside lp.{PICK_HELPER}: {found}"
+
+
 def test_the_separability_checks_raise_no_domain_error_of_their_own():
     # outside input is checked by errors.check_points (a set), check_point_set
     # (a point and a set) and check_real; the checks decide x and the set times
@@ -266,11 +286,11 @@ def test_every_export_resolves():
     assert not stale, f"exports that resolve to nothing: {stale}"
 
 
-EXPONENT_MODULE = "dyadic.py"  # home of scale_exponent and the integer scaling
+EXPONENT_MODULE = "dyadic.py"  # home of split_peak and the integer scaling
 
 
 def test_frexp_only_in_dyadic():
-    # one exponent helper, dyadic.scale_exponent: a second spelling of "the power
+    # one exponent helper, dyadic.split_peak: a second spelling of "the power
     # of two that brings max|coord| into [0.5, 1)" could treat -0.0, empty input
     # or a temporary the size of the input differently
     sources = sorted(path for path in PACKAGE.glob("*.py") if path.name != EXPONENT_MODULE)
