@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import peak
-from .errors import DomainError, check_int, check_points, check_real
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "LayerSpec",
@@ -27,13 +27,13 @@ __all__ = [
 # Slack for re-checking norms of stored float64 coordinates.  Empirically the
 # normalize-then-rescale construction drifts at most 3 ulp from the assigned
 # radius, independent of d (numpy reduces each row pairwise, whatever block it
-# is in).  One range check, _check_in_shell, applies it to all clouds alike.
+# is in).  The sampler's range check, _check_in_shell, applies it to its output.
 _NORM_SLACK_ULPS = 4.0
 NORM_BLOCK = 1 << 15  # float64 squares _row_norms holds at once: 256 KiB
 
 
 def _row_norms(pts: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row: the floats ``np.linalg.norm(pts, axis=1)`` gives.
+    """The sampler's row norms: the floats ``np.linalg.norm(pts, axis=1)`` gives.
     The squares pass through one buffer of ``NORM_BLOCK`` floats (or one row), a
     block of rows at a time, so no norm needs a second array the size of ``pts``."""
     n, d = pts.shape
@@ -78,46 +78,16 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable batch of points that all live in one shell.
+    """:func:`sample_layer`'s output, which no check consumes or validates.
 
-    Attributes:
-        layer: the shell the points were drawn from / must lie in.
-        points: (n, d) float64 array, one point per row; made read-only.
-        seed: 64-bit seed that reproduces the cloud via :func:`sample_layer`
-            (callers constructing clouds from external data may pass any
-            marker value; reproducibility is then their business).
+    ``points`` is the (n, d) float64 array the sampler drew and checked, one
+    point per row, C-contiguous and read-only; ``layer`` is the shell it was
+    drawn from and ``seed`` reproduces it.  The checks take any (n, d) array.
     """
 
     layer: LayerSpec
     points: np.ndarray
     seed: int
-
-    def __post_init__(self):
-        pts, _ = check_points(self.points)
-        if pts.shape[1] != self.layer.d:
-            raise DomainError(
-                f"points have dimension {pts.shape[1]}, layer has d={self.layer.d}"
-            )
-        _check_in_shell(_row_norms(pts), self.layer)
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def _from_sampler(cls, layer: LayerSpec, points: np.ndarray, seed: int) -> PointCloud:
-        """Wrap :func:`sample_layer`'s own read-only array without checking or copying it.
-
-        The sampler checks its output itself; only it may call this.
-        """
-        cloud = object.__new__(cls)
-        object.__setattr__(cloud, "layer", layer)
-        object.__setattr__(cloud, "points", points)
-        object.__setattr__(cloud, "seed", seed)
-        return cloud
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
 
 
 def _radii(u: np.ndarray, layer: LayerSpec) -> np.ndarray:
@@ -183,7 +153,7 @@ def sample_layer(layer: LayerSpec, n: int, seed: int) -> PointCloud:
     g *= scale[:, None]
     _check_in_shell(_row_norms(g), layer)
     g.flags.writeable = False
-    return PointCloud._from_sampler(layer, g, int(seed))
+    return PointCloud(layer, g, int(seed))
 
 
 def log_unit_ball_volume(d: int) -> float:

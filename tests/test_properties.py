@@ -107,7 +107,7 @@ def test_set_report_matches_pointwise_fisher(params):
     report = fisher_separable_set(cloud.points)
     expected = all(
         fisher_point_vs_set(cloud.points[i], np.delete(cloud.points, i, axis=0)).separable
-        for i in range(cloud.n)
+        for i in range(len(cloud.points))
     )
     assert report.all_separable == expected
 

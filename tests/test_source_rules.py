@@ -186,42 +186,6 @@ def test_no_module_imports_private_names():
     assert not found, f"private names imported across modules: {found}"
 
 
-SAMPLER_MODULE = "geometry.py"  # home of PointCloud and its trusted constructor
-
-
-def _builds_unchecked_cloud(node) -> bool:
-    # PointCloud._from_sampler skips validation and copying; so does
-    # object.__new__(PointCloud) followed by setting the fields by hand
-    if isinstance(node, ast.Attribute) and node.attr == "_from_sampler":
-        return True
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "__new__"):
-        return False
-    named = [node.func.value, *node.args]
-    return any(
-        (isinstance(part, ast.Name) and part.id == "PointCloud")
-        or (isinstance(part, ast.Attribute) and part.attr == "PointCloud")
-        for part in named
-    )
-
-
-def test_only_the_sampler_builds_unchecked_clouds():
-    # outside data must go through PointCloud's checks (errors.check_points,
-    # then the dimension and the shell): a cloud built around them could hold
-    # NaN or points off the shell
-    roots = (PACKAGE, PACKAGE.parents[1] / "tests", PACKAGE.parents[1] / "perfbench")
-    sources = sorted(path for root in roots for path in root.glob("*.py")
-                     if path != PACKAGE / SAMPLER_MODULE)
-    assert sources, f"no sources under {roots}"
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if _builds_unchecked_cloud(node)
-    ]
-    assert not found, f"PointCloud built without its checks outside {SAMPLER_MODULE}: {found}"
-
-
 FLOAT_SPEC = ".17g"  # the round-trippable rendering of every emitted real
 
 

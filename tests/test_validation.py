@@ -12,7 +12,7 @@ from layersep.cli import EXIT_DOMAIN, main
 from layersep.dyadic import peak
 from layersep.errors import DomainError, check_int, check_point_set, check_points, check_real
 from layersep.experiments import ExperimentPlan
-from layersep.geometry import LayerSpec, PointCloud
+from layersep.geometry import LayerSpec
 from layersep.separability import (
     fisher_flags,
     fisher_margins,
@@ -81,12 +81,8 @@ def spoiled(a, where, bad):
     return a
 
 
-def cloud_of(points):
-    return PointCloud(layer=LayerSpec(d=3, r=0.0), points=points, seed=0)
-
-
 # every entry point that takes a set of points on its own, each through check_points
-SET_CHECKS = [check_points, cloud_of, fisher_flags, fisher_margins, fisher_separable_set,
+SET_CHECKS = [check_points, fisher_flags, fisher_margins, fisher_separable_set,
               linearly_separable_set]
 
 
@@ -124,4 +120,3 @@ def test_every_set_check_rejects_an_array_that_is_not_2_d(points):
 def test_finiteness_of_empty_sets():
     assert math.isfinite(peak(np.empty(0))) and math.isfinite(peak(np.empty((0, 3))))
     assert check_point_set(FINITE_SET[0], np.empty((0, 3)))[1].shape == (0, 3)
-    assert PointCloud(layer=LayerSpec(d=3, r=0.0), points=np.empty((0, 3)), seed=0).n == 0
