@@ -30,15 +30,10 @@ import numpy as np
 from . import asymptotics as asymptotics_mod
 from .bounds import BOUND_IDS, COUNT_BOUND_IDS, evaluate_bound
 from .errors import DomainError, EnumerationLimitError, LPStallError, check_int, check_real
-from .experiments import POOL_MIN_COORDS, ExperimentPlan, ExperimentRecord, run_experiment
+from .experiments import (POOL_MIN_COORDS, ExperimentPlan, ExperimentRecord, run_experiment,
+                          set_report)
 from .geometry import LayerSpec, sample_layer
-from .separability import (
-    DEFAULT_TOL,
-    fisher_point_vs_set,
-    fisher_separable_set,
-    linearly_separable_set,
-    lp_point_vs_set,
-)
+from .separability import fisher_point_vs_set, lp_point_vs_set
 
 __all__ = [
     "EXIT_OK",
@@ -225,7 +220,6 @@ def parse_args(argv) -> argparse.Namespace:
     p_check.add_argument("--mode", choices=("point", "set"), default="set",
                          help="point: last row vs the rest; set: every point vs the rest")
     p_check.add_argument("--kind", choices=("linear", "fisher", "both"), default="both")
-    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL, help="LP margin tolerance")
 
     p_bounds = sub.add_parser("bounds", help="evaluate bounds on a (d, r) grid")
     p_bounds.set_defaults(run=_run_bounds)
@@ -258,7 +252,6 @@ def parse_args(argv) -> argparse.Namespace:
                        help="cloud size (default 10000 point, 1000 set)")
     p_exp.add_argument("--trials", type=int, default=60, help="trials per (d, r) cell")
     p_exp.add_argument("--seed", required=True, help="master seed (reproducibility is mandatory)")
-    p_exp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="LP margin tolerance")
     p_exp.add_argument("--kinds", default="linear,fisher",
                        help="comma subset of linear,fisher")
     p_exp.add_argument("--workers", type=int, default=1, help="threads for the whole run, "
@@ -286,7 +279,6 @@ def _validate(ns, fail) -> None:
         ns.n = check_int(ns.n, "--n", 0)
 
     elif ns.subcommand == "check":
-        ns.tol = check_real(ns.tol, "--tol", 0.0, math.inf)
         ns.kind = ("linear", "fisher") if ns.kind == "both" else (ns.kind,)
 
     elif ns.subcommand == "bounds":
@@ -321,7 +313,6 @@ def _validate(ns, fail) -> None:
             n=n,
             trials=ns.trials,
             master_seed=seed,
-            tol=ns.tol,
             check_kinds=kinds,
             workers=ns.workers,
             deterministic_timing=not ns.measure_timing,
@@ -385,16 +376,14 @@ def _run_check(ns) -> None:
         query, others = pts[-1], pts[:-1]
         # both certificates before either line, so an LP stall prints no verdict
         fisher = fisher_point_vs_set(query, others) if "fisher" in ns.kind else None
-        linear = lp_point_vs_set(query, others, tol=ns.tol) if "linear" in ns.kind else None
+        linear = lp_point_vs_set(query, others) if "linear" in ns.kind else None
         if fisher is not None:
             out.write(_line(kind="fisher", separable=str(fisher.separable).lower()))
         if linear is not None:
             out.write(_line(kind="linear", separable=str(linear.separable).lower(),
                             margin=linear.margin))
         return
-    # one report, one Gram pass: its flags give the Fisher verdict (SetReport)
-    report = (linearly_separable_set(pts, tol=ns.tol, verdict_only=True)
-              if "linear" in ns.kind else fisher_separable_set(pts, verdict_only=True))
+    report = set_report(pts, ns.kind)
     if "fisher" in ns.kind:
         fisher_ok = bool(report.flags.all())
         out.write(_line(kind="fisher", all_separable=str(fisher_ok).lower(),

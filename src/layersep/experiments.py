@@ -21,10 +21,9 @@ from itertools import islice
 import numpy as np
 
 from .bounds import BoundQuery, p1_fisher_lb, p1_linear_lb, p_fisher_lb, p_linear_lb
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_int
 from .geometry import LayerSpec, sample_layer
 from .separability import (
-    DEFAULT_TOL,
     fisher_point_vs_set,
     fisher_separable_set,
     linearly_separable_set,
@@ -39,6 +38,7 @@ __all__ = [
     "ExperimentRecord",
     "frequency_interval",
     "run_experiment",
+    "set_report",
 ]
 
 WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
@@ -61,7 +61,6 @@ class ExperimentPlan:
         n: cloud size per trial.
         trials: trials per (d, r) cell.
         master_seed: 64-bit root of every RNG stream in the run.
-        tol: LP margin tolerance passed through to the linear checks.
         check_kinds: which verdicts to record, subset of {'linear', 'fisher'}.
         workers: threads, at most the usable cores; cells with
             n·d < POOL_MIN_COORDS run on the calling thread.  Any value yields
@@ -76,7 +75,6 @@ class ExperimentPlan:
     n: int
     trials: int
     master_seed: int
-    tol: float = DEFAULT_TOL
     check_kinds: tuple[str, ...] = CHECK_KINDS
     workers: int = 1
     deterministic_timing: bool = False
@@ -96,7 +94,6 @@ class ExperimentPlan:
         object.__setattr__(self, "trials", check_int(self.trials, "trials", 1))
         seed = check_int(self.master_seed, "master_seed", 0, 2**64)
         object.__setattr__(self, "master_seed", seed)
-        object.__setattr__(self, "tol", check_real(self.tol, "tol", 0.0, math.inf))
         kinds = tuple(k for k in CHECK_KINDS if k in tuple(self.check_kinds))
         if not kinds or set(self.check_kinds) - set(CHECK_KINDS):
             raise DomainError(
@@ -172,18 +169,25 @@ def _point_trial(plan, layer, trial_idx):
             linear_ok, lp_skipped = True, 1
         else:
             lp_calls = 1
-            linear_ok = lp_point_vs_set(query, others, tol=plan.tol).separable
+            linear_ok = lp_point_vs_set(query, others).separable
     return linear_ok, fisher_ok, lp_calls, lp_skipped
+
+
+def set_report(points, kinds):
+    """The verdict-only SetReport for the check kinds in ``kinds``: the linear
+    check's when they hold "linear", else the Fisher check's.  Either report's
+    flags give the Fisher verdict, so one Gram pass serves both kinds."""
+    if "linear" in kinds:
+        return linearly_separable_set(points, verdict_only=True)
+    return fisher_separable_set(points, verdict_only=True)
 
 
 def _set_trial(plan, layer, trial_idx):
     points = sample_layer(layer, plan.n, _trial_seed(plan, layer.d, layer.r, trial_idx)).points
-    linear = "linear" in plan.check_kinds
-    report = (linearly_separable_set(points, tol=plan.tol, verdict_only=True) if linear
-              else fisher_separable_set(points, verdict_only=True))
-    # one Gram pass serves both kinds: the flags give the Fisher verdict (SetReport)
-    fisher_ok = "fisher" in plan.check_kinds and bool(report.flags.all())
-    return linear and report.all_separable, fisher_ok, report.lp_calls, report.lp_skipped_by_fisher
+    report = set_report(points, plan.check_kinds)
+    # both verdicts are counted; _frequency reports a kind the plan does not record as NaN
+    return (report.all_separable, bool(report.flags.all()),
+            report.lp_calls, report.lp_skipped_by_fisher)
 
 
 def _frequency(plan: ExperimentPlan, kind: str, hits: int) -> tuple[float, float, float]:

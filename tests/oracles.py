@@ -227,6 +227,18 @@ def _fraction_barycentric(target, subset_rows, d):
 
 
 # ---------------------------------------------------------------------------
+# Wendel's theorem
+
+
+def wendel_probability(n, d):
+    """Chance that n points drawn i.i.d. from a distribution symmetric about
+    the origin in R^d, in general position with probability 1, all lie in one
+    open half-space through the origin: 2^-(n-1) * sum_{k<d} C(n-1, k), exact
+    (J. G. Wendel, Math. Scand. 11, 1962)."""
+    return Fraction(sum(math.comb(n - 1, k) for k in range(d)), 2 ** (n - 1))
+
+
+# ---------------------------------------------------------------------------
 # planar convex hull (Andrew monotone chain, exact orientation via Fraction)
 
 

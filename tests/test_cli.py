@@ -95,6 +95,8 @@ def test_experiment_defaults():
         experiment_argv("--r", "0.5:0.4:0.1"),
         experiment_argv("--seed", "-3"),
         experiment_argv("--kinds", "linear,euclidean"),
+        experiment_argv("--tol", "1e-6"),  # every run uses separability.DEFAULT_TOL
+        ["check", "--input", "-", "--tol", "1e-6"],
         ["bounds", "--id", "p_linear_ub", "--d", "3"],
         ["bounds", "--id", "n1_fisher", "--d", "3"],  # count bound, no theta
         ["bounds", "--id", "n1_fisher", "--d", "3", "--theta", "1.5"],

@@ -100,8 +100,6 @@ def test_plan_validation():
     with pytest.raises(DomainError):
         base_plan(master_seed=2**64)
     with pytest.raises(DomainError):
-        base_plan(tol=0.0)
-    with pytest.raises(DomainError):
         base_plan(check_kinds=())
     with pytest.raises(DomainError):
         base_plan(check_kinds=("linear", "euclidean"))

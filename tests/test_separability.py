@@ -676,6 +676,38 @@ def test_lp_matches_exact_oracle_near_layer():
     assert lp_cert.verdict == oracle_cert.verdict
 
 
+# Wendel's theorem: the layer is symmetric about the origin for every r, so the
+# origin is separable from n sampled points with probability
+# oracles.wendel_probability(n, d), at plan sizes the exact oracle cannot reach
+WENDEL_Z = 5.0  # fixed before the first run; the seeds are never changed to pass
+
+
+@pytest.mark.parametrize("d, n, r, trials", [
+    (3, 8, 0.5, 1000), (10, 20, 0.0, 1000), (20, 36, 0.9, 400), (30, 60, 0.5, 200),
+])
+def test_origin_verdicts_follow_wendel(d, n, r, trials):
+    layer = LayerSpec(d=d, r=r)
+    hits = sum(lp_point_vs_set(np.zeros(d), sample_layer(layer, n, 1000 * d + s).points).separable
+               for s in range(trials))
+    p = float(oracles.wendel_probability(n, d))
+    z = (hits - trials * p) / math.sqrt(trials * p * (1.0 - p))
+    assert abs(z) < WENDEL_Z, (hits, trials, p, z)
+
+
+@pytest.mark.parametrize("d, seeds", [(5, 100), (12, 50), (30, 20)])
+def test_origin_verdict_is_one_per_seed_across_radii(d, seeds):
+    # the sampler draws the directions before the radii, so one seed gives the
+    # same directions at every r, and whether the origin is separable depends
+    # on the directions alone
+    verdicts = set()
+    for s in range(2**32, 2**32 + seeds):
+        seen = {lp_point_vs_set(np.zeros(d), sample_layer(LayerSpec(d=d, r=r), 2 * d, s).points)
+                .separable for r in (0.0, 0.5, 0.9, 0.99)}
+        assert len(seen) == 1, (d, s)
+        verdicts |= seen
+    assert verdicts == {False, True}  # n = 2d: either verdict has probability 1/2
+
+
 # ---------------------------------------------------------------------------
 # linear set checks
 

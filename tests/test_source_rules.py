@@ -266,3 +266,29 @@ def test_frexp_only_in_dyadic():
         if isinstance(node, ast.Attribute) and node.attr == "frexp"
     ]
     assert not found, f"frexp outside {EXPONENT_MODULE}: {found}"
+
+
+SET_CHECKS = ("fisher_separable_set", "linearly_separable_set")
+SET_RULE = "set_report"  # experiments' one pick of the report that serves the check kinds
+
+
+def test_set_checks_called_only_in_the_set_rule():
+    # the CLI and the experiment runner pick the report by one rule, and the
+    # set checks are looked up in experiments' globals, where a run's tracer
+    # can wrap them
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "separability.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        rule = {id(node) for top in tree.body if path.name == "experiments.py"
+                and getattr(top, "name", None) == SET_RULE for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in rule:
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called in SET_CHECKS:
+                    found.append(f"{path.name}:{node.lineno} {called}")
+            elif isinstance(node, ast.ImportFrom) and path.name == "cli.py":
+                found += [f"cli.py:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name in SET_CHECKS]
+    assert not found, f"set checks outside experiments.{SET_RULE}: {found}"
