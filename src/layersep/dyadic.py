@@ -28,14 +28,24 @@ import math
 from operator import mul, sub
 
 __all__ = ["barycentric_if_inside", "gaps_positive_exactly", "integer_gaps_positive", "peak",
-           "scaled_to_integers", "split_peak", "times_two_to"]
+           "scaled_to_integers", "split_peak", "times_two_to", "PICK_ON_FLOATS"]
+
+PICK_ON_FLOATS = 32  # arrays up to this size are searched on Python floats
 
 
 def peak(*arrays) -> float:
-    """Largest |entry| of finite arrays, 0.0 for none: two reductions each, no temporary.
-    The peak of one array with a NaN or infinite entry is NaN or inf."""
-    return max((max(float(a.max(initial=0.0)), -float(a.min(initial=0.0))) for a in arrays),
-               default=0.0) + 0.0  # no -0.0
+    """Largest |entry| of finite arrays, 0.0 for none: two reductions each, no temporary,
+    or for at most ``PICK_ON_FLOATS`` entries the same value from ``tolist()``, without
+    NumPy's per-call cost.  The peak of one array with a NaN or infinite entry is NaN or inf."""
+    return max(map(_array_peak, arrays), default=0.0) + 0.0  # no -0.0
+
+
+def _array_peak(a) -> float:
+    if a.size > PICK_ON_FLOATS:
+        return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    magnitudes = list(map(abs, a.ravel().tolist()))
+    total = sum(magnitudes)  # NaN exactly when an entry is: no magnitude is -inf
+    return total if total != total else max(magnitudes, default=0.0)
 
 
 def split_peak(top: float) -> tuple[float, int]:

@@ -20,7 +20,12 @@ Enumeration.  Otherwise X is in the hull iff some subset of at most d+1 points
 of M contains it in its convex hull (Caratheodory), and each subset is settled
 by solving its barycentric linear system exactly.  No proof exists for a point
 of the hull, so a ``not_separable`` certificate always comes from the first
-such subset, smallest size first and in lexicographic order.  The systems are
+such subset, smallest size first and in lexicographic order.  A subset whose
+bounding box does not hold X is skipped unsolved, since then some axis has no
+point of it on one side of X: each point gets a mask of 2d bits on its integer
+coordinates, bit 2c for ``y_c <= X_c`` and bit 2c+1 for ``y_c >= X_c``, and only
+a subset whose masks OR to all ones is solved.  The first witness is the same
+as without the skip, and so is every certificate.  The systems are
 solved on integers (:func:`layersep.dyadic.barycentric_if_inside`): one common
 power of two makes every coordinate of X and M an exact Python int, in the one
 pass (:func:`layersep.dyadic.scaled_to_integers`) that also feeds the proof's
@@ -30,15 +35,17 @@ all ones.  Each coefficient is one correctly rounded int true division,
 ``num_j / den``.
 
 The subset count grows combinatorially, so instances are guarded (guideline
-n <= 64, d <= 6; the hard cap is on the enumeration size).  This module is
+n <= 64, d <= 6; the hard cap is on the enumeration size, skipped subsets
+included).  This module is
 the ground truth for the LP path and shares none of its arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import combinations
-from operator import mul
+from operator import mul, or_
 
 import numpy as np
 
@@ -79,8 +86,12 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
     normals = _candidate_normals(x_list, others_list)
     if any(integer_gaps_positive(normal, target, points) for normal in normals):
         return SeparabilityCertificate("separable", "exact_oracle", 0.0)
+    covers = [_cover_mask(target, point) for point in points]
+    every_side = (1 << 2 * d) - 1
     for k in range(1, k_max + 1):
-        for subset in combinations(range(m), k):
+        for subset, cover in zip(combinations(range(m), k), combinations(covers, k)):
+            if reduce(or_, cover) != every_side:
+                continue  # some axis has no point of the subset on one side of x
             solution = barycentric_if_inside(target, [points[j] for j in subset])
             if solution is not None:
                 nums, den = solution
@@ -91,6 +102,11 @@ def exact_point_vs_set(x, others, max_subsets: int = MAX_SUBSETS) -> Separabilit
                     "not_separable", "exact_oracle", 0.0, coefficients=coeffs
                 )
     return SeparabilityCertificate("separable", "exact_oracle", 0.0)
+
+
+def _cover_mask(target: list[int], point: list[int]) -> int:
+    """Bit 2c set when ``point[c] <= target[c]``, bit 2c+1 when ``point[c] >= target[c]``."""
+    return sum(((y <= t) | (y >= t) << 1) << 2 * c for c, (y, t) in enumerate(zip(point, target)))
 
 
 def _candidate_normals(x: list[float], others: list[list[float]]):

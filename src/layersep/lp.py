@@ -32,13 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dyadic import PICK_ON_FLOATS
 from .errors import LPStallError
 
 # reduced costs / pivot elements below this count as zero
 PIVOT_TOL = 1e-11
 # eta updates between two refactorizations of the basis inverse
 REFACTOR_EVERY = 32
-PICK_ON_FLOATS = 32  # first_extreme searches arrays up to this size on Python floats
 
 __all__ = ["SimplexResult", "first_extreme", "solve_standard_form", "PICK_ON_FLOATS", "PIVOT_TOL"]
 

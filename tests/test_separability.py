@@ -171,6 +171,55 @@ def test_peak_and_exponent_of_several_arrays(arrays):
     assert dyadic.split_peak(dyadic.peak(*arrays))[1] == math.frexp(float(want))[1]
 
 
+class _NoNumPyPeak(np.ndarray):
+    def max(self, *args, **kwargs):
+        raise AssertionError("max called on a small array")
+
+    min = max
+
+
+def _two_reduction_peak(*arrays):
+    return max((max(float(a.max(initial=0.0)), -float(a.min(initial=0.0))) for a in arrays),
+               default=0.0) + 0.0
+
+
+def _peak_inputs(size, rng):
+    # random floats; NaN first and last; +-inf; signed zeros; subnormals;
+    # magnitudes whose sum overflows; each also as a 2-d array
+    values = rng.standard_normal(size)
+    arrays = [values, np.where(rng.random(size) < 0.5, -0.0, 0.0),
+              rng.choice((-1.0, 1.0), size) * 2.0**-1074 * rng.integers(1, 2**20, size),
+              rng.choice((-1e308, 1e308, 0.5), size)]
+    for index, special in ((0, np.nan), (-1, np.nan), (0, np.inf), (-1, -np.inf), (-1, -1e308)):
+        if size:
+            arrays.append(values.copy())
+            arrays[-1][index] = special
+    arrays.append(np.full(size, -np.inf))
+    for a in arrays:
+        yield a
+        yield a.reshape(-1, 4 if size % 4 == 0 else 1)
+
+
+@pytest.mark.parametrize("size", [0, 1, dyadic.PICK_ON_FLOATS, dyadic.PICK_ON_FLOATS + 1])
+def test_peak_on_floats_is_the_two_reduction_value(size):
+    # the same float as NumPy's max and min of each array, NaN and inf
+    # included, alone and beside other arrays; up to PICK_ON_FLOATS entries
+    # the peak never reaches NumPy's max/min
+    rng = np.random.default_rng(size)
+    inputs = list(_peak_inputs(size, rng))
+    others = [np.array([0.25]), np.array([np.nan, 1.0]), np.full(40, 2.0), np.zeros((0, 3))]
+
+    def guarded(a):
+        return a.view(_NoNumPyPeak) if a.size <= dyadic.PICK_ON_FLOATS else a
+
+    for a in inputs:
+        assert repr(dyadic.peak(guarded(a))) == repr(_two_reduction_peak(a)), a
+        for other in others:
+            for pair in ((a, other), (other, a), (a, other, a)):
+                want = _two_reduction_peak(*pair)
+                assert repr(dyadic.peak(*map(guarded, pair))) == repr(want), pair
+
+
 @pytest.mark.parametrize("x, others", [
     ([-0.0, 0.0], np.zeros((0, 2))), ([0.25, -3.0], [[1e-320, 2.0]]), ([1e-320], [[-5e-324]]),
     ([0.5, 0.0], [[0.0, -np.finfo(float).max], [1.0, 1.0]]), ([-0.0], [[-0.0]]),
@@ -1084,11 +1133,76 @@ def test_exact_oracle_enumerates_only_what_the_proof_leaves(monkeypatch):
     # Fisher-separable: (X, X) = 2 > (X, Y) for every Y, so no subset is solved
     assert exact_point_vs_set(np.array([1.0, 1.0]), triangle).verdict == "separable"
     assert calls == []
-    # inside the triangle: 3 single points, 3 pairs, then the triangle itself
+    # inside the triangle: no single point and neither axis-aligned pair has
+    # points on both sides of X on each axis, so only the hypotenuse and the
+    # triangle itself are solved
     cert = exact_point_vs_set(np.array([0.25, 0.25]), triangle)
     assert cert.verdict == "not_separable"
     assert cert.coefficients.tolist() == [0.5, 0.25, 0.25]
-    assert calls == [1, 1, 1, 2, 2, 2, 3]
+    assert calls == [2, 3]
+
+
+def test_exact_oracle_solves_only_subsets_around_x(monkeypatch):
+    # x in conv(S) needs, on every axis, a point of S at or below x and one at
+    # or above it: no subset without them reaches the exact solve
+    solved = []
+    solve = exact.barycentric_if_inside
+
+    def checked(target, columns):
+        axes = [[col[c] for col in columns] for c in range(len(target))]
+        solved.append(all(min(axis) <= t <= max(axis) for axis, t in zip(axes, target)))
+        return solve(target, columns)
+
+    monkeypatch.setattr(exact, "barycentric_if_inside", checked)
+    verdicts = {exact_point_vs_set(x, others).verdict for x, others in criterion_2_shaped_queries()}
+    assert verdicts == {"separable", "not_separable"}
+    assert solved and all(solved), solved.count(False)
+
+
+def box_tie_instances():
+    """(x, others): cloud points, edges and facets, coordinates tied with x,
+    collinear sets, zero coordinates and R^0."""
+    triangle = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    simplex = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    yield [0.5, 0.25], [[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]]  # x is a cloud point
+    yield [0.25, 0.5, 0.75], [[0.25, 0.5, 0.75], [0.25, 0.5, 0.75], [1.0, -1.0, 0.5]]
+    yield [0.5, 0.0], triangle  # on an edge
+    yield [0.0, 1.0], triangle  # a vertex
+    yield [0.25, 0.25, 0.5], simplex  # on the facet x + y + z = 1
+    yield [0.25, 0.0, 0.5], simplex  # on an edge of that facet
+    cross = [[0.5, 0.0], [0.5, 1.0], [0.0, 0.5], [1.0, 0.5]]
+    yield [0.5, 0.5], cross  # coordinates shared with x on either side
+    yield [0.5, 0.75], cross
+    yield [0.5, 0.5], [[0.5, 0.25], [0.25, 0.5]]  # a box around x, but x outside the hull
+    yield [0.5, 0.5], [[0.5, 0.5 + 2.0**-52], [0.5, 0.5 - 2.0**-53]]  # a box an ulp wide
+    yield [0.5, 0.5], [[0.5, 0.75], [0.5, 1.0]]  # x below the whole set on one axis
+    line = [[0.0, 0.0, 0.0], [0.25, 0.5, 0.75], [0.5, 1.0, 1.5], [1.0, 2.0, 3.0]]
+    yield [0.75, 1.5, 2.25], line  # collinear
+    yield [0.75, 1.5, 2.0], line
+    yield [2.0, 4.0, 6.0], line
+    yield [0.0, 0.5], [[0.0, 0.0], [-0.0, 1.0], [1.0, 0.0]]  # zero coordinates, signed
+    yield [-0.0, 0.0], [[0.0, -0.0], [0.5, 0.5]]
+    yield [0.0, 0.0], [[0.0, 1.0], [1.0, 0.0], [-1.0, -1.0]]
+    yield [], [[], [], []]  # R^0: every mask is empty, so nothing is pruned
+
+
+@pytest.mark.parametrize("e", [0, 600, -600])
+def test_exact_oracle_box_skip_keeps_the_unpruned_answer(monkeypatch, e):
+    # verdicts and coefficient bytes equal to the enumeration of every subset,
+    # with and without the proof stage in front of it
+    instances = [tuple(np.ldexp(np.array(v, dtype=np.float64), e) for v in pair)
+                 for pair in box_tie_instances()]
+    wants = [oracles.fraction_hull_oracle(x, others) for x, others in instances]
+    real = [exact_point_vs_set(x, others) for x, others in instances]
+    monkeypatch.setattr(exact, "_candidate_normals", lambda *args: iter(()))
+    enumerated = [exact_point_vs_set(x, others) for x, others in instances]
+    for (x, others), (verdict, coefficients), *certs in zip(instances, wants, real, enumerated):
+        for cert in certs:
+            assert cert.verdict == verdict, (x, others)
+            want = None if coefficients is None else coefficients.tobytes()
+            got = None if cert.coefficients is None else cert.coefficients.tobytes()
+            assert got == want, (x, others)
+    assert {verdict for verdict, _ in wants} == {"separable", "not_separable"}
 
 
 
